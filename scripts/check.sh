@@ -8,8 +8,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cmake -B build -G Ninja -DPVAR_WERROR=ON
-cmake --build build
+cmake -B build -S . -DPVAR_WERROR=ON
+cmake --build build -j"$(nproc)"
 ctest --test-dir build --output-on-failure -j"$(nproc)"
 
 # Spec-layer round trip: the registry serialized to a fleet file must
@@ -199,43 +199,19 @@ EOF
 }
 solver_equivalence ./build/pvar_study
 
-# Batch identity: the die-cohort engine is a pure throughput knob.
-# A full fast-solver study and a stepped reference study must emit
-# byte-identical reports at width 1 and width 16 — per-die results
-# may not depend on how many dies advance in lockstep.
-batch_identity() {
-    local study=$1 tmp
-    tmp=$(mktemp -d)
-    "$study" --iterations 1 --jobs 2 --solver fast --batch 1 \
-        --json --quiet --output "$tmp/fast_b1.json"
-    "$study" --iterations 1 --jobs 2 --solver fast --batch 16 \
-        --json --quiet --output "$tmp/fast_b16.json"
-    cmp "$tmp/fast_b1.json" "$tmp/fast_b16.json"
-    "$study" --soc SD-805 --iterations 1 --jobs 2 --solver stepped \
-        --batch 1 --json --quiet --output "$tmp/stepped_b1.json"
-    "$study" --soc SD-805 --iterations 1 --jobs 2 --solver stepped \
-        --batch 16 --json --quiet --output "$tmp/stepped_b16.json"
-    cmp "$tmp/stepped_b1.json" "$tmp/stepped_b16.json"
-    rm -rf "$tmp"
-}
-batch_identity ./build/pvar_study
-
 # Crowd identity: the stratified sampler must be a pure function of
 # (population seed, strata, rounds) — byte-identical reports at any
-# jobs count and cohort width — and a live-point-warm rerun on the
+# jobs count — and a live-point-warm rerun on the
 # same store must reproduce the cold bytes exactly while storectl
 # still validates every checkpoint through the digested codec path.
 crowd_identity() {
     local study=$1 storectl=$2 tmp
     tmp=$(mktemp -d)
-    "$study" --crowd 256 --strata 4 --jobs 1 --batch 1 --quiet \
+    "$study" --crowd 256 --strata 4 --jobs 1 --quiet \
         --output "$tmp/j1.json"
-    "$study" --crowd 256 --strata 4 --jobs 4 --batch 1 --quiet \
+    "$study" --crowd 256 --strata 4 --jobs 4 --quiet \
         --output "$tmp/j4.json"
-    "$study" --crowd 256 --strata 4 --jobs 2 --batch 16 --quiet \
-        --output "$tmp/b16.json"
     cmp "$tmp/j1.json" "$tmp/j4.json"
-    cmp "$tmp/j1.json" "$tmp/b16.json"
     # Cold run captures one live point per sampled die; the warm rerun
     # restores from them and must not change a single output byte.
     "$study" --crowd 256 --strata 4 --quiet \
@@ -359,7 +335,6 @@ kill_recovery ./build-tsan/pvar_served ./build-tsan/pvar_study \
     ./build-tsan/pvar_storectl
 chaos ./build-tsan/pvar_study ./build-tsan/pvar_storectl
 solver_equivalence ./build-tsan/pvar_study
-batch_identity ./build-tsan/pvar_study
 crowd_identity ./build-tsan/pvar_study ./build-tsan/pvar_storectl
 service_load ./build-tsan/pvar_served ./build-tsan/pvar_loadgen \
     ./build-tsan/pvar_study 0

@@ -1,7 +1,5 @@
 #include "accubench/accubench.hh"
 
-#include <algorithm>
-
 #include "sim/logging.hh"
 
 namespace pvar
@@ -23,18 +21,28 @@ IterationResult
 runAccubenchIteration(Simulator &sim, Device &device,
                       const AccubenchConfig &cfg, Trace *trace)
 {
-    IterationResult result;
-    EnergyMeter &meter = device.energyMeter();
+    AccubenchProgress progress =
+        startAccubenchIteration(sim, device, cfg, trace);
+    return finishAccubenchIteration(sim, device, cfg, trace, progress);
+}
+
+AccubenchProgress
+startAccubenchIteration(Simulator &sim, Device &device,
+                        const AccubenchConfig &cfg, Trace *trace)
+{
+    AccubenchProgress p;
 
     // ---- Phase 1: warmup -------------------------------------------------
     markPhase(trace, sim.now(), AccubenchPhase::Warmup);
     device.acquireWakelock();
     device.startWorkload(cfg.workload);
 
-    Time warmup_start = sim.now();
-    Joules e0 = meter.total();
-    sim.runFor(cfg.warmupDuration);
-    result.warmupTime = sim.now() - warmup_start;
+    p.warmupStart = sim.now();
+    p.e0 = device.energyMeter().total();
+    p.warmupEnd = sim.now() + cfg.warmupDuration;
+    p.deadline = p.warmupEnd;
+    sim.runUntil(p.warmupEnd);
+    p.result.warmupTime = sim.now() - p.warmupStart;
 
     // ---- Phase 2: cooldown ----------------------------------------------
     markPhase(trace, sim.now(), AccubenchPhase::Cooldown);
@@ -42,23 +50,36 @@ runAccubenchIteration(Simulator &sim, Device &device,
     device.releaseWakelock();
     device.setSuspendAllowed(true);
 
-    Time cooldown_start = sim.now();
-    Time deadline = cooldown_start + cfg.cooldownTimeout;
-    result.cooldownReachedTarget = false;
-    while (sim.now() < deadline) {
+    p.cooldownStart = sim.now();
+    p.cooldownDeadline = p.cooldownStart + cfg.cooldownTimeout;
+    p.result.cooldownReachedTarget = false;
+    while (sim.now() < p.cooldownDeadline) {
         // Sleep until the next poll, then wake momentarily to read the
         // sensor, as the paper's app does.
-        sim.runFor(cfg.cooldownPoll);
+        p.pollEnd = sim.now() + cfg.cooldownPoll;
+        p.deadline = p.pollEnd;
+        sim.runUntil(p.pollEnd);
         device.stayAwakeUntil(sim.now() + cfg.pollWakeSpan);
         if (device.readCpuTemp() <= cfg.cooldownTarget) {
-            result.cooldownReachedTarget = true;
+            p.result.cooldownReachedTarget = true;
             break;
         }
     }
+    return p;
+}
+
+IterationResult
+finishAccubenchIteration(Simulator &sim, Device &device,
+                         const AccubenchConfig &cfg, Trace *trace,
+                         const AccubenchProgress &progress)
+{
+    IterationResult result = progress.result;
+    EnergyMeter &meter = device.energyMeter();
+
     if (!result.cooldownReachedTarget)
         warn("ACCUBENCH %s: cooldown timed out above %.1fC",
              device.name().c_str(), cfg.cooldownTarget.value());
-    result.cooldownTime = sim.now() - cooldown_start;
+    result.cooldownTime = sim.now() - progress.cooldownStart;
     device.setSuspendAllowed(false);
 
     // ---- Phase 3: workload ------------------------------------------------
@@ -86,7 +107,7 @@ runAccubenchIteration(Simulator &sim, Device &device,
     result.workloadTime = sim.now() - workload_start;
     result.score = device.iterations();
     result.workloadEnergy = meter.total() - e_workload_start;
-    result.totalEnergy = meter.total() - e0;
+    result.totalEnergy = meter.total() - progress.e0;
     result.peakWorkloadTemp = Celsius(peak);
     return result;
 }

@@ -66,12 +66,35 @@ struct AccubenchConfig
 };
 
 /**
+ * Protocol scratch of one iteration that is live at the end of its
+ * cooldown polling — the live-point capture point. Everything the
+ * rest of the iteration reads, so an iteration resumed from a saved
+ * copy finishes exactly like one that ran straight through.
+ */
+struct AccubenchProgress
+{
+    /** warmupTime and cooldownReachedTarget are filled so far. */
+    IterationResult result;
+
+    Time warmupStart;
+    Time warmupEnd;
+    Joules e0{0.0};
+    Time cooldownStart;
+    Time cooldownDeadline;
+    Time pollEnd;
+
+    /** Deadline of the last simulator run (warmup end or a poll). */
+    Time deadline;
+};
+
+/**
  * Run one ACCUBENCH iteration on a device.
  *
  * The device must already be registered with the simulator (and, if
  * applicable, placed in a Thermabox that is also registered). The
  * call drives the simulator forward through the three phases and
- * returns the scored result.
+ * returns the scored result. It is startAccubenchIteration() followed
+ * by finishAccubenchIteration().
  *
  * @param sim the simulation loop to advance.
  * @param device the device under test.
@@ -82,6 +105,17 @@ struct AccubenchConfig
 IterationResult runAccubenchIteration(Simulator &sim, Device &device,
                                       const AccubenchConfig &cfg,
                                       Trace *trace = nullptr);
+
+/** Warmup, then cooldown polling up to the capture point. */
+AccubenchProgress startAccubenchIteration(Simulator &sim, Device &device,
+                                          const AccubenchConfig &cfg,
+                                          Trace *trace);
+
+/** Cooldown exit and the workload phase: the rest of the iteration. */
+IterationResult finishAccubenchIteration(Simulator &sim, Device &device,
+                                         const AccubenchConfig &cfg,
+                                         Trace *trace,
+                                         const AccubenchProgress &progress);
 
 } // namespace pvar
 

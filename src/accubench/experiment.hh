@@ -61,9 +61,9 @@ enum class SupplyChoice
  * Contract: fetch() returns true only for a value previously stored
  * under the exact same key that still validates; implementations must
  * treat corruption as a miss. Restoring is transactional at the call
- * site (batch.cc rolls back to the cold state when a fetched value
- * fails to decode), so a live point can make a run *faster*, never
- * *different*.
+ * site (accubench/live_point.hh rolls back to the cold state when a
+ * fetched value fails to decode), so a live point can make a run
+ * *faster*, never *different*.
  */
 class LivePointCache
 {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <memory>
 
-#include "accubench/batch.hh"
 #include "fault/fault.hh"
 #include "sim/logging.hh"
 #include "sim/parallel.hh"
@@ -47,17 +46,16 @@ modeName(WorkloadMode mode)
  * cache faults exactly like a cold one.
  */
 ExperimentResult
-superviseTaskFrom(const ExperimentTask &task, std::size_t task_index,
-                  const StudyConfig &study, int start_attempt,
-                  ExperimentStatus last)
+superviseTask(const ExperimentTask &task, std::size_t task_index,
+              const StudyConfig &study)
 {
     ExperimentCache *cache = study.cache;
     int max_attempts = std::max(1, study.retry.maxAttempts);
     const std::string &unit_id =
         task.entry->units.at(task.unitIndex).id;
 
-    for (int attempt = start_attempt; attempt < max_attempts;
-         ++attempt) {
+    ExperimentStatus last = ExperimentStatus::TransientFault;
+    for (int attempt = 0; attempt < max_attempts; ++attempt) {
         ExperimentConfig acfg = task.cfg;
         acfg.retrySalt = static_cast<std::uint64_t>(attempt);
         FaultScope scope(faultScopeId(task_index,
@@ -132,204 +130,20 @@ superviseTaskFrom(const ExperimentTask &task, std::size_t task_index,
     return benched;
 }
 
-ExperimentResult
-superviseTask(const ExperimentTask &task, std::size_t task_index,
-              const StudyConfig &study)
-{
-    return superviseTaskFrom(task, task_index, study, 0,
-                             ExperimentStatus::TransientFault);
-}
-
-/**
- * Chunk the task list into cohorts of up to `batch` same-(entry, mode)
- * tasks. Adjacent tasks alternate modes (unit 0 unc, unit 0 fix, ...),
- * so tasks are bucketed first — cohort members must match so they can
- * share a thermal eigendecomposition and stay phase-aligned.
- */
-std::vector<std::vector<std::size_t>>
-planCohorts(const std::vector<ExperimentTask> &tasks, int batch)
-{
-    struct Bucket
-    {
-        const RegistryEntry *entry;
-        WorkloadMode mode;
-        std::vector<std::size_t> idxs;
-    };
-    std::vector<Bucket> buckets;
-    for (std::size_t i = 0; i < tasks.size(); ++i) {
-        Bucket *bucket = nullptr;
-        for (Bucket &b : buckets) {
-            if (b.entry == tasks[i].entry &&
-                b.mode == tasks[i].cfg.mode) {
-                bucket = &b;
-                break;
-            }
-        }
-        if (!bucket) {
-            buckets.push_back(
-                Bucket{tasks[i].entry, tasks[i].cfg.mode, {}});
-            bucket = &buckets.back();
-        }
-        bucket->idxs.push_back(i);
-    }
-
-    std::vector<std::vector<std::size_t>> cohorts;
-    std::size_t width = static_cast<std::size_t>(batch);
-    for (Bucket &b : buckets) {
-        for (std::size_t off = 0; off < b.idxs.size(); off += width) {
-            std::size_t end = std::min(b.idxs.size(), off + width);
-            cohorts.emplace_back(b.idxs.begin() + off,
-                                 b.idxs.begin() + end);
-        }
-    }
-    return cohorts;
-}
-
-/**
- * Supervise one cohort's tasks: attempt 0 runs through the batch
- * engine, everything after that — classification, retries, quarantine
- * — reuses the serial supervisor from attempt 1. Attempts are
- * independent (own fault scope, own retry-salted device), so the
- * retry tail is bit-identical to the unbatched path; attempt 0 is
- * bit-identical by the engine's determinism contract.
- */
-void
-superviseCohort(const std::vector<ExperimentTask> &tasks,
-                const std::vector<std::size_t> &cohort,
-                const StudyConfig &study,
-                std::vector<ExperimentResult> &results)
-{
-    ExperimentCache *cache = study.cache;
-    int max_attempts = std::max(1, study.retry.maxAttempts);
-
-    struct Slot
-    {
-        std::size_t taskIndex = 0;
-        std::unique_ptr<FaultFrame> frame;
-        ExperimentConfig acfg;
-        std::unique_ptr<Device> device; // set iff attempt 0 must run
-        bool faulted = false;           // experiment.run fired
-        ExperimentStatus last = ExperimentStatus::TransientFault;
-        ExperimentResult result; // cache hit or engine output
-    };
-
-    std::vector<Slot> slots;
-    slots.reserve(cohort.size());
-    for (std::size_t ti : cohort) {
-        const ExperimentTask &task = tasks[ti];
-        const std::string &unit_id =
-            task.entry->units.at(task.unitIndex).id;
-        Slot slot;
-        slot.taskIndex = ti;
-        slot.acfg = task.cfg;
-        slot.acfg.retrySalt = 0;
-        slot.frame = std::make_unique<FaultFrame>(faultScopeId(ti, 0));
-
-        FaultFrameGuard guard(slot.frame.get());
-        FaultHit hit = faultCheck(FaultSite::ExperimentRun);
-        if (hit.fired) {
-            if (hit.kind == FaultKind::Permanent) {
-                throw PermanentFaultError(
-                    strfmt("unit %s %s: injected permanent fault",
-                           unit_id.c_str(), modeName(slot.acfg.mode)));
-            }
-            slot.faulted = true;
-            warn("study:   unit %s %s attempt %d/%d: transient "
-                 "fault%s",
-                 unit_id.c_str(), modeName(slot.acfg.mode), 1,
-                 max_attempts, 1 < max_attempts ? "; retrying" : "");
-        } else if (!cache ||
-                   !cache->lookup(*task.entry, task.unitIndex,
-                                  slot.acfg, slot.result)) {
-            slot.device = buildDevice(
-                task.entry->spec, task.entry->units.at(task.unitIndex),
-                slot.acfg.retrySalt);
-            inform("study:   unit %s %s",
-                   slot.device->unitId().c_str(),
-                   modeName(slot.acfg.mode));
-        }
-        slots.push_back(std::move(slot));
-    }
-
-    // Attempt 0, interleaved across the cohort.
-    std::vector<CohortTask> engine_tasks;
-    std::vector<Slot *> running;
-    for (Slot &slot : slots) {
-        if (!slot.device)
-            continue;
-        CohortTask ct;
-        ct.device = slot.device.get();
-        ct.cfg = slot.acfg;
-        ct.faultFrame = slot.frame.get();
-        engine_tasks.push_back(std::move(ct));
-        running.push_back(&slot);
-    }
-    if (!engine_tasks.empty()) {
-        std::vector<ExperimentResult> engine_results =
-            runExperimentCohort(engine_tasks);
-        for (std::size_t j = 0; j < running.size(); ++j) {
-            Slot &slot = *running[j];
-            slot.result = std::move(engine_results[j]);
-            if (cache) {
-                const ExperimentTask &task = tasks[slot.taskIndex];
-                FaultFrameGuard guard(slot.frame.get());
-                cache->insert(*task.entry, task.unitIndex, slot.acfg,
-                              slot.result);
-            }
-        }
-    }
-
-    for (Slot &slot : slots) {
-        const ExperimentTask &task = tasks[slot.taskIndex];
-        const std::string &unit_id =
-            task.entry->units.at(task.unitIndex).id;
-        if (!slot.faulted) {
-            ExperimentStatus status =
-                classifyExperiment(slot.result, slot.acfg, study.gate);
-            slot.result.status = status;
-            slot.result.attempts = 1;
-            slot.result.quarantined = false;
-            if (status == ExperimentStatus::Ok) {
-                results[slot.taskIndex] = std::move(slot.result);
-                continue;
-            }
-            slot.last = status;
-            warn("study:   unit %s %s attempt %d/%d: %s%s",
-                 unit_id.c_str(), modeName(slot.acfg.mode), 1,
-                 max_attempts, experimentStatusName(status),
-                 1 < max_attempts ? "; retrying" : "");
-        }
-        results[slot.taskIndex] = superviseTaskFrom(
-            task, slot.taskIndex, study, 1, slot.last);
-    }
-}
-
 /**
  * Run every task, possibly across a thread pool. results[i] always
  * corresponds to tasks[i], so the output is independent of scheduling.
  * With a cache, each attempt is routed through it; a hit skips the
  * simulation entirely and (by determinism) yields the same bytes.
- * With a batch width above 1, same-(model, mode) tasks run as
- * lockstep cohorts — per-task bytes are unchanged (the batch-size
- * invariant); only throughput moves.
  */
 std::vector<ExperimentResult>
 runExperimentTasks(const std::vector<ExperimentTask> &tasks,
                    const StudyConfig &cfg)
 {
     std::vector<ExperimentResult> results(tasks.size());
-    int batch = resolveBatchSize(cfg.batch, cfg.solver);
-    if (batch <= 1) {
-        parallelFor(tasks.size(), cfg.jobs, [&](std::size_t i) {
-            results[i] = superviseTask(tasks[i], i, cfg);
-        });
-    } else {
-        std::vector<std::vector<std::size_t>> cohorts =
-            planCohorts(tasks, batch);
-        parallelFor(cohorts.size(), cfg.jobs, [&](std::size_t c) {
-            superviseCohort(tasks, cohorts[c], cfg, results);
-        });
-    }
+    parallelFor(tasks.size(), cfg.jobs, [&](std::size_t i) {
+        results[i] = superviseTask(tasks[i], i, cfg);
+    });
     // A finished study is a durability point: results a client is
     // about to see must survive a crash of the process.
     if (cfg.cache)

@@ -49,15 +49,7 @@ class ExperimentCache
         const ExperimentConfig &cfg,
         const std::function<ExperimentResult()> &compute) = 0;
 
-    /**
-     * Batched-engine split of getOrCompute: probe for a cached result
-     * without computing. True fills `out` and counts as a hit; false
-     * counts as a miss, and the scheduler later hands the computed
-     * result to insert(). Implementations must keep (lookup-miss +
-     * insert) equivalent to one getOrCompute. The defaults — always
-     * miss, never store — keep pre-batch implementations compiling,
-     * at the cost of no memoization on the batched path.
-     */
+    /** Unused; kept so perfbench compiles; delete with its uses. */
     virtual bool lookup(const RegistryEntry &entry,
                         std::size_t unit_index,
                         const ExperimentConfig &cfg,
@@ -70,7 +62,7 @@ class ExperimentCache
         return false;
     }
 
-    /** Store a result computed after a lookup() miss. */
+    /** Unused; kept so perfbench compiles; delete with its uses. */
     virtual void insert(const RegistryEntry &entry,
                         std::size_t unit_index,
                         const ExperimentConfig &cfg,
@@ -191,15 +183,7 @@ struct StudyConfig
      */
     ExperimentCache *cache = nullptr;
 
-    /**
-     * Cohort width for the batched die engine: same-(model, mode)
-     * experiments run B dies in lockstep, sharing one thermal
-     * eigendecomposition (accubench/batch.hh). Per-die outputs are
-     * bit-identical for every value — the batch-size invariant,
-     * enforced alongside the jobs invariant by tests — so this is a
-     * pure throughput knob. 0 (default) lets the engine pick: ~16 for
-     * the fast solver, serial for the stepped reference.
-     */
+    /** Unused; kept so perfbench compiles; delete with its uses. */
     int batch = 0;
 
     /** Retry/quarantine budget for faulted or invalid experiments. */

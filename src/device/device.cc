@@ -296,49 +296,26 @@ Device::nextBoundary(Time now, Time base_dt) const
 void
 Device::fastTick(Time now, Time dt)
 {
-    fastTickBegin(now, dt);
-    while (!fastTickDone()) {
-        if (fastSegmentAdvance())
-            fastSegmentJump();
-        fastSegmentService();
+    Time t = now - dt;
+    while (t < now) {
+        // A segment is awake iff its end stays inside the wake grant:
+        // segments split at _wakeUntil, so `t < _wakeUntil` here
+        // matches the stepped loop's `now <= _wakeUntil` decision.
+        bool awake =
+            _wakelocks > 0 || !_suspendAllowed || t < _wakeUntil;
+        Time seg_end = std::min(
+            now, t + (awake ? kFastAwakePeriod : kFastSuspendPeriod));
+        if (awake && _wakelocks == 0 && _suspendAllowed &&
+            _wakeUntil < seg_end)
+            seg_end = _wakeUntil;
+        advanceFastSegment(seg_end, seg_end - t, awake);
+        serviceFast(seg_end, awake);
+        t = seg_end;
     }
 }
 
 void
-Device::fastTickBegin(Time now, Time dt)
-{
-    _ftCursor = now - dt;
-    _ftEnd = now;
-}
-
-bool
-Device::fastSegmentAdvance()
-{
-    Time t = _ftCursor;
-    // A segment is awake iff its end stays inside the wake grant:
-    // segments split at _wakeUntil, so `t < _wakeUntil` here
-    // matches the stepped loop's `now <= _wakeUntil` decision.
-    bool awake = _wakelocks > 0 || !_suspendAllowed || t < _wakeUntil;
-    Time seg_end = std::min(
-        _ftEnd, t + (awake ? kFastAwakePeriod : kFastSuspendPeriod));
-    if (awake && _wakelocks == 0 && _suspendAllowed &&
-        _wakeUntil < seg_end)
-        seg_end = _wakeUntil;
-    _ftSegEnd = seg_end;
-    _ftSpan = seg_end - t;
-    _ftAwake = awake;
-    return fastSegmentCompute(seg_end, _ftSpan, awake);
-}
-
-void
-Device::fastSegmentService()
-{
-    serviceFast(_ftSegEnd, _ftAwake);
-    _ftCursor = _ftSegEnd;
-}
-
-bool
-Device::fastSegmentCompute(Time seg_end, Time seg, bool awake)
+Device::advanceFastSegment(Time seg_end, Time seg, bool awake)
 {
     _suspended = !awake;
 
@@ -408,7 +385,7 @@ Device::fastSegmentCompute(Time seg_end, Time seg, bool awake)
                 _meter.accumulate(p_supply, t, h);
                 _package.step(h);
             }
-            return false; // thermals already advanced substep-by-substep
+            return;
         }
     }
 
@@ -419,9 +396,8 @@ Device::fastSegmentCompute(Time seg_end, Time seg, bool awake)
     _lastPower = p_supply;
     _meter.accumulate(p_supply, seg_end, seg);
 
-    // -- Thermals: the analytic jump is left to the caller (serial
-    // fastSegmentJump or a cohort's batched advance).
-    return true;
+    // -- Thermals: one analytic jump ---------------------------------------
+    _package.fastStep(seg);
 }
 
 void

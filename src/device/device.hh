@@ -262,51 +262,6 @@ class Device : public Tickable
 
     Time nextBoundary(Time now, Time base_dt) const override;
 
-    /**
-     * @name Staged fast-path driver (batch engine).
-     *
-     * fastTick() decomposed so a cohort engine can interleave the
-     * awake/suspend segments of many devices on one thread: begin a
-     * tick, then repeat { fastSegmentAdvance(); if it returned true,
-     * jump the thermals (fastSegmentJump(), or a batched equivalent
-     * over the exposed network); fastSegmentService(); } until
-     * fastTickDone(). Driving the stages in that order is exactly
-     * fastTick() — the solo path calls these same hooks. Only
-     * meaningful when the Fast solver is selected.
-     * @{
-     */
-
-    /** Open a staged fast tick covering (now - dt, now]. */
-    void fastTickBegin(Time now, Time dt);
-
-    /** True once the staged tick consumed its whole span. */
-    bool fastTickDone() const { return _ftCursor >= _ftEnd; }
-
-    /**
-     * Plan and compute the next segment: workload accrual, the power
-     * closure and battery drain — everything except the thermal jump.
-     *
-     * @return true when the analytic thermal jump over
-     *         fastSegmentSpan() is still pending (perform it before
-     *         fastSegmentService()); false when this segment already
-     *         advanced thermals through the stepped fallback.
-     */
-    bool fastSegmentAdvance();
-
-    /** Span of the segment opened by the last fastSegmentAdvance(). */
-    Time fastSegmentSpan() const { return _ftSpan; }
-
-    /** The package network a batched jump advances by the span. */
-    ThermalNetwork &packageNetwork() { return _package.network(); }
-
-    /** Serial thermal jump over the pending segment. */
-    void fastSegmentJump() { _package.fastStep(_ftSpan); }
-
-    /** Close the segment: sensor, governors, trace; moves the cursor. */
-    void fastSegmentService();
-
-    /** @} */
-
     /** Reset governors and meters for a fresh experiment iteration. */
     void resetExperimentState();
 
@@ -316,13 +271,13 @@ class Device : public Tickable
      * Serializes every field that evolves during a protocol run:
      * silicon/thermal/supply state, OS surface, governor latches, the
      * noise stream, and accounting. Excluded by design: the external
-     * supply pointer, trace attachment and channel caches, the solver
-     * selection, and the staged fast-tick scratch — all of those are
-     * (re)established by the experiment configuration path before a
-     * restore, which must therefore run *after* attachTrace() so the
-     * restored trace cursor survives. loadState() returns false on
-     * any malformed input, leaving the device unspecified; callers
-     * roll back via a saved cold snapshot (see batch.cc).
+     * supply pointer, trace attachment and channel caches, and the
+     * solver selection — all of those are (re)established by the
+     * experiment configuration path before a restore, which must
+     * therefore run *after* attachTrace() so the restored trace cursor
+     * survives. loadState() returns false on any malformed input,
+     * leaving the device unspecified; callers roll back via a saved
+     * cold snapshot (see accubench/live_point.cc).
      * @{
      */
     void saveState(ByteWriter &w) const;
@@ -375,20 +330,13 @@ class Device : public Tickable
     Celsius _sensorPeak{0.0};
     std::uint64_t _picardFallbacks = 0;
 
-    // Staged fast-tick state (see the cohort driver hooks above).
-    Time _ftCursor;  // consumed up to here
-    Time _ftEnd;     // tick target
-    Time _ftSegEnd;  // end of the open segment
-    Time _ftSpan;    // its span
-    bool _ftAwake = false;
-
     void applyGovernors(Time now);
     void recordTrace(Time now);
     void updateBackgroundNoise(Time now);
 
     void steppedTick(Time now, Time dt);
     void fastTick(Time now, Time dt);
-    bool fastSegmentCompute(Time seg_end, Time seg, bool awake);
+    void advanceFastSegment(Time seg_end, Time seg, bool awake);
     void serviceFast(Time now, bool awake);
     void trackSensorPeak()
     {

@@ -85,7 +85,7 @@ class Rng;
  * population in the repo (crowd, sample-size study) samples units
  * through this helper serially before fanning experiments out, so a
  * population is a pure function of the seed regardless of how the
- * fan-out is scheduled or batched.
+ * fan-out is scheduled.
  */
 UnitCorner sampleUnitCorner(Rng &rng, std::string id,
                             double corner_sigma);

@@ -157,19 +157,6 @@ check(const FaultPlan &plan, FaultSite site)
     return FaultHit{};
 }
 
-void
-pushFrame(ScopeFrame *frame)
-{
-    frame->parent = t_frame;
-    t_frame = frame;
-}
-
-void
-popFrame(ScopeFrame *frame)
-{
-    t_frame = frame->parent;
-}
-
 } // namespace fault_detail
 
 const char *
@@ -263,12 +250,13 @@ currentFaultPlan()
 FaultScope::FaultScope(std::uint64_t scope_id)
 {
     _frame.scopeId = scope_id;
-    fault_detail::pushFrame(&_frame);
+    _frame.parent = t_frame;
+    t_frame = &_frame;
 }
 
 FaultScope::~FaultScope()
 {
-    fault_detail::popFrame(&_frame);
+    t_frame = _frame.parent;
 }
 
 std::uint64_t

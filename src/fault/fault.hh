@@ -219,10 +219,6 @@ extern std::atomic<const FaultPlan *> g_activePlan;
 
 FaultHit check(const FaultPlan &plan, FaultSite site);
 
-/** Link/unlink a frame on this thread's scope stack (LIFO only). */
-void pushFrame(ScopeFrame *frame);
-void popFrame(ScopeFrame *frame);
-
 } // namespace fault_detail
 
 /**
@@ -256,58 +252,6 @@ class FaultScope
 
   private:
     fault_detail::ScopeFrame _frame;
-};
-
-/**
- * A persistent fault-counting frame for interleaved executors.
- *
- * FaultScope is strictly RAII: its counters die with the scope, which
- * fits one task running to completion on one thread. The batch engine
- * instead interleaves many dies' work on one thread, so each die's
- * counters must outlive any single section. A FaultFrame owns the
- * counters for one die; a FaultFrameGuard activates it around each
- * slice of that die's work. Counts accrue across activations exactly
- * as they would inside one long FaultScope, which is what keeps
- * per-die fault decisions identical at every batch size.
- */
-class FaultFrame
-{
-  public:
-    explicit FaultFrame(std::uint64_t scope_id) { _frame.scopeId = scope_id; }
-
-    FaultFrame(const FaultFrame &) = delete;
-    FaultFrame &operator=(const FaultFrame &) = delete;
-
-  private:
-    friend class FaultFrameGuard;
-    fault_detail::ScopeFrame _frame;
-};
-
-/**
- * RAII activation of a FaultFrame on the current thread. A null frame
- * is a no-op, so call sites need not branch on "is fault scoping on".
- */
-class FaultFrameGuard
-{
-  public:
-    explicit FaultFrameGuard(FaultFrame *frame)
-        : _frame(frame ? &frame->_frame : nullptr)
-    {
-        if (_frame)
-            fault_detail::pushFrame(_frame);
-    }
-
-    ~FaultFrameGuard()
-    {
-        if (_frame)
-            fault_detail::popFrame(_frame);
-    }
-
-    FaultFrameGuard(const FaultFrameGuard &) = delete;
-    FaultFrameGuard &operator=(const FaultFrameGuard &) = delete;
-
-  private:
-    fault_detail::ScopeFrame *_frame;
 };
 
 /**

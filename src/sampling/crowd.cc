@@ -6,8 +6,8 @@
 #include "accubench/experiment.hh"
 #include "accubench/phase_windows.hh"
 #include "device/fleet.hh"
-#include "sampling/cohort_runner.hh"
 #include "sim/logging.hh"
+#include "sim/parallel.hh"
 #include "sim/rng.hh"
 #include "sim/strfmt.hh"
 
@@ -51,50 +51,43 @@ simulateCrowd(const CrowdConfig &cfg)
         spec.ambient = rng.uniform(cfg.ambientLoC, cfg.ambientHiC);
     }
 
-    // Units run in cohort windows through the shared runner; the
-    // batch-size invariant keeps every unit's bytes independent of the
-    // window width, so this is pure throughput, like `jobs`.
+    // One task per unit; each writes only its own slot, so the result
+    // is independent of `jobs`.
     CrowdResult result;
     result.outcomes.resize(cfg.units);
-    runCohortWindows(
-        specs.size(), cfg.jobs, cfg.batch, cfg.solver,
-        [&](std::size_t i) {
-            return makeUnitForSoc(cfg.socName, specs[i].corner);
-        },
-        [&](std::size_t i) {
-            const UnitSpec &spec = specs[i];
-            ExperimentConfig exp;
-            exp.mode = WorkloadMode::Unconstrained;
-            exp.iterations = cfg.iterations;
-            exp.accubench = cfg.accubench;
-            exp.supply = SupplyChoice::Battery; // no lab gear out there
-            exp.thermabox.target = Celsius(spec.ambient);
-            exp.accubench.cooldownTarget = Celsius(spec.ambient + 8.0);
-            exp.solver = cfg.solver;
-            return exp;
-        },
-        [&](std::size_t i, Device &device, ExperimentResult &r) {
-            const UnitSpec &spec = specs[i];
+    parallelFor(specs.size(), cfg.jobs, [&](std::size_t i) {
+        const UnitSpec &spec = specs[i];
+        std::unique_ptr<Device> device =
+            makeUnitForSoc(cfg.socName, spec.corner);
 
-            // The app-side ambient estimate: fit the second cooldown.
-            AmbientEstimate est;
-            if (auto win =
-                    phaseWindow(r.trace, AccubenchPhase::Cooldown, 1)) {
-                est = estimateAmbientFromTrace(
-                    r.trace.channel("die_temp"), win->begin, win->end);
-            }
+        ExperimentConfig exp;
+        exp.mode = WorkloadMode::Unconstrained;
+        exp.iterations = cfg.iterations;
+        exp.accubench = cfg.accubench;
+        exp.supply = SupplyChoice::Battery; // no lab gear out there
+        exp.thermabox.target = Celsius(spec.ambient);
+        exp.accubench.cooldownTarget = Celsius(spec.ambient + 8.0);
+        exp.solver = cfg.solver;
+        ExperimentResult r = runExperiment(*device, exp);
 
-            CrowdUnitOutcome &out = result.outcomes[i];
-            out.report.unitId = spec.corner.id;
-            out.report.model = device.model();
-            out.report.score = r.meanScore();
-            out.report.estimatedAmbientC =
-                est.valid ? est.ambient.value() : -273.0;
-            out.report.ambientValid = est.valid;
-            out.trueAmbientC = spec.ambient;
-            out.leakFactor = device.soc().die().params().leakFactor;
-            out.speedFactor = device.soc().die().params().speedFactor;
-        });
+        // The app-side ambient estimate: fit the second cooldown.
+        AmbientEstimate est;
+        if (auto win = phaseWindow(r.trace, AccubenchPhase::Cooldown, 1)) {
+            est = estimateAmbientFromTrace(r.trace.channel("die_temp"),
+                                           win->begin, win->end);
+        }
+
+        CrowdUnitOutcome &out = result.outcomes[i];
+        out.report.unitId = spec.corner.id;
+        out.report.model = device->model();
+        out.report.score = r.meanScore();
+        out.report.estimatedAmbientC =
+            est.valid ? est.ambient.value() : -273.0;
+        out.report.ambientValid = est.valid;
+        out.trueAmbientC = spec.ambient;
+        out.leakFactor = device->soc().die().params().leakFactor;
+        out.speedFactor = device->soc().die().params().speedFactor;
+    });
 
     // Population statistics: P² estimates are feed-order dependent,
     // so fold serially in unit order once every slot is filled.

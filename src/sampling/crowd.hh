@@ -63,15 +63,6 @@ struct CrowdConfig
      * StudyConfig::solver).
      */
     SolverKind solver = SolverKind::Stepped;
-
-    /**
-     * Die-cohort width: units run through the batched experiment
-     * engine (accubench/batch.hh) in windows of this many lockstep
-     * members. Per-unit results are bit-identical for any value —
-     * a pure throughput knob, like `jobs`. 0 (default) = engine pick
-     * (~16 fast, serial stepped).
-     */
-    int batch = 0;
 };
 
 /** One simulated participant. */
@@ -94,7 +85,7 @@ struct CrowdResult
      * Streaming population statistics over the raw scores — mean/RSD
      * plus P² median and 90th percentile — fed serially in unit order
      * after the fan-out completes, so the estimates are bit-identical
-     * for any jobs or batch value.
+     * for any jobs value.
      */
     StreamingSummary scores;
 

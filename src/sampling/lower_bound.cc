@@ -5,8 +5,8 @@
 
 #include "accubench/experiment.hh"
 #include "device/fleet.hh"
-#include "sampling/cohort_runner.hh"
 #include "sim/logging.hh"
+#include "sim/parallel.hh"
 #include "sim/rng.hh"
 #include "sim/strfmt.hh"
 #include "stats/summary.hh"
@@ -60,19 +60,13 @@ sampleSizeStudy(const LowerBoundConfig &cfg)
         }
     }
 
-    // Fan out in cohort windows through the shared runner; every
-    // unit's score is independent of the window width (batch-size
-    // invariant), exactly as it is independent of `jobs`.
+    // One task per unit; every unit's score is independent of `jobs`.
     std::vector<double> scores(draws.size());
-    runCohortWindows(
-        draws.size(), cfg.jobs, cfg.batch, cfg.solver,
-        [&](std::size_t i) {
-            return makeUnitForSoc(cfg.socName, draws[i].corner);
-        },
-        [&](std::size_t) { return exp; },
-        [&](std::size_t i, Device &, ExperimentResult &r) {
-            scores[i] = r.meanScore();
-        });
+    parallelFor(draws.size(), cfg.jobs, [&](std::size_t i) {
+        std::unique_ptr<Device> device =
+            makeUnitForSoc(cfg.socName, draws[i].corner);
+        scores[i] = runExperiment(*device, exp).meanScore();
+    });
 
     // Reduce each replicate's slice; draws are already grouped by
     // replicate in order, so a single sweep recovers the slices.

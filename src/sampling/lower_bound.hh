@@ -62,13 +62,6 @@ struct LowerBoundConfig
      * StudyConfig::solver).
      */
     SolverKind solver = SolverKind::Stepped;
-
-    /**
-     * Die-cohort width for the batched experiment engine; per-unit
-     * results are bit-identical for any value (see CrowdConfig::batch).
-     * 0 (default) = engine pick.
-     */
-    int batch = 0;
 };
 
 /** Result for one fleet size. */

@@ -3,13 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <memory>
 #include <set>
 
 #include "device/fleet.hh"
 #include "device/registry.hh"
 #include "report/json.hh"
-#include "sampling/cohort_runner.hh"
 #include "sim/logging.hh"
+#include "sim/parallel.hh"
 #include "sim/rng.hh"
 #include "store/result_cache.hh"
 
@@ -224,19 +225,15 @@ runCrowdStudy(const CrowdStudyConfig &cfg)
         }
 
         std::vector<DieObs> obs(strata);
-        runCohortWindows(
-            strata, cfg.jobs, cfg.batch, cfg.solver,
-            [&](std::size_t s) {
-                return makeUnitForSoc(pop.socName, dies[s].corner);
-            },
-            [&](std::size_t s) {
-                return crowdDieExperiment(cfg, dies[s]);
-            },
-            [&](std::size_t s, Device &, ExperimentResult &r) {
-                obs[s].score = r.meanScore();
-                obs[s].energy = r.meanWorkloadEnergy().value();
-                obs[s].bin = dies[s].bin;
-            });
+        parallelFor(strata, cfg.jobs, [&](std::size_t s) {
+            std::unique_ptr<Device> device =
+                makeUnitForSoc(pop.socName, dies[s].corner);
+            ExperimentResult r =
+                runExperiment(*device, crowdDieExperiment(cfg, dies[s]));
+            obs[s].score = r.meanScore();
+            obs[s].energy = r.meanWorkloadEnergy().value();
+            obs[s].bin = dies[s].bin;
+        });
 
         // Fold in canonical stratum order: P² sketches are
         // feed-order dependent, so the order is part of the output's

@@ -14,7 +14,7 @@
  *    spread-out, low-variance snapshot of the whole distribution per
  *    round. All draws happen serially before any experiment runs, so
  *    the sampled set — and every reported byte — is identical for any
- *    `jobs` or `batch` value.
+ *    `jobs` value.
  *
  *  - Interpenetrating (round-replicate) confidence intervals. Each
  *    round is an independent, identically-designed probe of the
@@ -81,7 +81,7 @@ struct CrowdStudyConfig
     /** Worker threads for the per-round fan-out (result-invariant). */
     int jobs = 1;
 
-    /** Cohort width for the batched engine (result-invariant). */
+    /** Unused; kept so perfbench compiles; delete with its uses. */
     int batch = 0;
 
     /**
@@ -96,8 +96,8 @@ struct CrowdStudyConfig
      * sampled die's experiment carries its full-key live-point key,
      * so a re-run of the same study (same seed => same sampled dies)
      * skips each die's stabilize/warmup/cooldown prefix while
-     * producing byte-identical statistics (batch.cc's restore
-     * contract).
+     * producing byte-identical statistics (the restore contract of
+     * accubench/live_point.hh).
      */
     LivePointCache *livePoints = nullptr;
 };
@@ -165,7 +165,7 @@ ExperimentConfig crowdDieExperiment(const CrowdStudyConfig &cfg,
 
 /**
  * Canonical JSON rendering (exact doubles, fixed key order, no
- * wall-clock content) — byte-identical across jobs/batch values and
+ * wall-clock content) — byte-identical across jobs values and
  * across cold vs live-point-warm runs.
  */
 std::string crowdStudyJson(const CrowdStudyResult &r);

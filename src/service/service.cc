@@ -520,7 +520,6 @@ StudyService::runCrowdRequest(const std::string &body)
     // Shared deployment knobs: the same fan-out and technique
     // parameters the /study path runs with.
     cfg.jobs = _cfg.study.jobs;
-    cfg.batch = _cfg.study.batch;
     cfg.accubench = _cfg.study.accubench;
 
     std::unique_ptr<DurableLivePointCache> live_points;

@@ -29,6 +29,15 @@ Simulator::remove(Tickable *component)
 }
 
 void
+Simulator::restoreClock(Time now)
+{
+    if (_events.pending() != 0)
+        fatal("Simulator: clock restore with %zu pending events",
+              _events.pending());
+    _now = now;
+}
+
+void
 Simulator::advanceOnce(Time limit)
 {
     // The jump target: nearest pending event or component boundary,

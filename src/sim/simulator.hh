@@ -73,6 +73,13 @@ class Simulator
      */
     bool runUntilCondition(const std::function<bool()> &pred, Time deadline);
 
+    /**
+     * Move the clock to @p now without ticking anything: the restore
+     * half of a live-point checkpoint, whose components carry their
+     * own saved state. The event queue must be empty.
+     */
+    void restoreClock(Time now);
+
     /** Total steps executed (diagnostics). */
     std::uint64_t stepsExecuted() const { return _steps; }
 

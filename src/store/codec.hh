@@ -63,7 +63,7 @@ bool decodeExperimentResult(const std::string &bytes,
  * anywhere in the body fails validation even when the transport has
  * no checksum of its own (the record log's CRC is a second,
  * independent layer). Section tags and payload layouts belong to the
- * accubench layer (batch.cc); see DESIGN.md §2.8.
+ * accubench layer (accubench/live_point.cc); see DESIGN.md §2.8.
  */
 constexpr std::uint32_t kLivePointVersion = 3;
 

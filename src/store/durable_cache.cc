@@ -29,33 +29,6 @@ DurableCache::getOrCompute(
     });
 }
 
-bool
-DurableCache::lookup(const RegistryEntry &entry,
-                     std::size_t unit_index,
-                     const ExperimentConfig &cfg, ExperimentResult &out)
-{
-    if (_lru.lookup(entry, unit_index, cfg, out))
-        return true;
-    // LRU miss already counted; consult the log before reporting a
-    // miss, and promote a disk hit so repeats stay in memory — the
-    // same layering as the getOrCompute miss path.
-    std::string key_text = experimentKeyText(entry, unit_index, cfg);
-    if (_store.get(key_text, out)) {
-        _lru.insert(entry, unit_index, cfg, out);
-        return true;
-    }
-    return false;
-}
-
-void
-DurableCache::insert(const RegistryEntry &entry, std::size_t unit_index,
-                     const ExperimentConfig &cfg,
-                     const ExperimentResult &result)
-{
-    _lru.insert(entry, unit_index, cfg, result);
-    _store.put(experimentKeyText(entry, unit_index, cfg), result);
-}
-
 void
 DurableCache::flushPending()
 {

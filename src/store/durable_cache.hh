@@ -45,23 +45,6 @@ class DurableCache : public ExperimentCache
         const ExperimentConfig &cfg,
         const std::function<ExperimentResult()> &compute) override;
 
-    /**
-     * @name Batched-engine probe/store split
-     * Probe LRU then disk; a disk hit is promoted into the LRU, and
-     * insert() writes through both layers — so a lookup-miss + insert
-     * pair leaves both layers (and their counters) exactly as one
-     * getOrCompute would.
-     * @{
-     */
-    bool lookup(const RegistryEntry &entry, std::size_t unit_index,
-                const ExperimentConfig &cfg,
-                ExperimentResult &out) override;
-
-    void insert(const RegistryEntry &entry, std::size_t unit_index,
-                const ExperimentConfig &cfg,
-                const ExperimentResult &result) override;
-    /** @} */
-
     /** Study finished: fsync whatever the batch window still holds. */
     void flushPending() override;
 

@@ -105,8 +105,9 @@ writeExperimentConfig(JsonWriter &w, const ExperimentConfig &cfg)
     w.key("retry_salt")
         .value(static_cast<long long>(cfg.retrySalt));
     // cfg.livePoints / cfg.livePointKey are deliberately absent: a
-    // live-point-warm run is byte-identical to a cold one (batch.cc
-    // rolls back on any mismatch), so both must alias one entry.
+    // live-point-warm run is byte-identical to a cold one
+    // (accubench/live_point.cc rolls back on any mismatch), so both
+    // must alias one entry.
     w.endObject();
 }
 
@@ -209,38 +210,6 @@ ResultCache::getOrCompute(const RegistryEntry &entry,
     std::lock_guard<std::mutex> lock(_mutex);
     insertLocked(std::move(digest), std::move(key_text), result);
     return result;
-}
-
-bool
-ResultCache::lookup(const RegistryEntry &entry, std::size_t unit_index,
-                    const ExperimentConfig &cfg, ExperimentResult &out)
-{
-    std::string key_text = experimentKeyText(entry, unit_index, cfg);
-    std::string digest = contentDigest(key_text);
-
-    std::lock_guard<std::mutex> lock(_mutex);
-    auto it = _index.find(digest);
-    if (it != _index.end() && it->second->keyText == key_text) {
-        ++_hits;
-        _lru.splice(_lru.begin(), _lru, it->second);
-        debug("result-cache: hit %s", digest.c_str());
-        out = it->second->result;
-        return true;
-    }
-    ++_misses;
-    return false;
-}
-
-void
-ResultCache::insert(const RegistryEntry &entry, std::size_t unit_index,
-                    const ExperimentConfig &cfg,
-                    const ExperimentResult &result)
-{
-    std::string key_text = experimentKeyText(entry, unit_index, cfg);
-    std::string digest = contentDigest(key_text);
-
-    std::lock_guard<std::mutex> lock(_mutex);
-    insertLocked(std::move(digest), std::move(key_text), result);
 }
 
 void

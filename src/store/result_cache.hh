@@ -91,22 +91,6 @@ class ResultCache : public ExperimentCache
         const ExperimentConfig &cfg,
         const std::function<ExperimentResult()> &compute) override;
 
-    /**
-     * @name Batched-engine probe/store split
-     * Same key machinery and counters as getOrCompute — one lookup
-     * miss followed by one insert leaves the cache in the exact state
-     * a single getOrCompute would have.
-     * @{
-     */
-    bool lookup(const RegistryEntry &entry, std::size_t unit_index,
-                const ExperimentConfig &cfg,
-                ExperimentResult &out) override;
-
-    void insert(const RegistryEntry &entry, std::size_t unit_index,
-                const ExperimentConfig &cfg,
-                const ExperimentResult &result) override;
-    /** @} */
-
     ResultCacheStats stats() const;
 
     /** Drop all entries (counters keep accumulating). */

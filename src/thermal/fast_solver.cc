@@ -228,71 +228,6 @@ FastThermalSolver::advance(std::vector<double> &temps,
     applyModal(temps, phiFor(dt_sec));
 }
 
-void
-FastThermalSolver::advanceBatch(double *temps, const double *powers,
-                                std::size_t b, double dt_sec)
-{
-    if (!_ready || dt_sec <= 0.0 || b == 0)
-        return;
-    const std::vector<double> &phi = phiFor(dt_sec);
-    std::size_t full = _flux.size();
-    std::size_t n = _interior.size();
-
-    // Net inflow per (node, die). The die loop is innermost throughout
-    // so each die repeats the scalar path's op sequence verbatim.
-    _bFlux.assign(full * b, 0.0);
-    for (const FastSolverEdge &e : _edges) {
-        const double *ta = temps + e.a * b;
-        const double *tb = temps + e.b * b;
-        double *fa = _bFlux.data() + e.a * b;
-        double *fb = _bFlux.data() + e.b * b;
-        for (std::size_t d = 0; d < b; ++d) {
-            double q = e.conductance * (ta[d] - tb[d]);
-            fa[d] -= q;
-            fb[d] += q;
-        }
-    }
-    _bW.resize(n * b);
-    for (std::size_t i = 0; i < n; ++i) {
-        std::size_t fi = _interior[i];
-        const double *fx = _bFlux.data() + fi * b;
-        const double *pw = powers + fi * b;
-        double *w = _bW.data() + i * b;
-        for (std::size_t d = 0; d < b; ++d)
-            w[d] = _invSqrtC[i] * (fx[d] + pw[d]);
-    }
-
-    // y = diag(phi) Q^T w, then dT = C^(-1/2) Q y.
-    _bY.resize(n * b);
-    for (std::size_t k = 0; k < n; ++k) {
-        double *y = _bY.data() + k * b;
-        for (std::size_t d = 0; d < b; ++d)
-            y[d] = 0.0;
-        for (std::size_t i = 0; i < n; ++i) {
-            double qik = _eigenvectors[i * n + k];
-            const double *w = _bW.data() + i * b;
-            for (std::size_t d = 0; d < b; ++d)
-                y[d] += qik * w[d];
-        }
-        for (std::size_t d = 0; d < b; ++d)
-            y[d] *= phi[k];
-    }
-    _bAcc.resize(b);
-    for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t d = 0; d < b; ++d)
-            _bAcc[d] = 0.0;
-        for (std::size_t k = 0; k < n; ++k) {
-            double qik = _eigenvectors[i * n + k];
-            const double *y = _bY.data() + k * b;
-            for (std::size_t d = 0; d < b; ++d)
-                _bAcc[d] += qik * y[d];
-        }
-        double *t = temps + _interior[i] * b;
-        for (std::size_t d = 0; d < b; ++d)
-            t[d] += _invSqrtC[i] * _bAcc[d];
-    }
-}
-
 bool
 FastThermalSolver::steadyState(std::vector<double> &temps,
                                const std::vector<double> &powers)

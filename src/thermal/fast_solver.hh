@@ -76,19 +76,6 @@ class FastThermalSolver
                  const std::vector<double> &powers, double dt_sec);
 
     /**
-     * Advance `b` independent copies of the topology at once.
-     *
-     * `temps` and `powers` are planar SoA arrays of b full-length node
-     * vectors, laid out [node * b + die] so the die loop is innermost
-     * and contiguous. Each die's floating-point operation sequence is
-     * exactly the sequence advance() performs on that die alone, so
-     * per-die results are bit-identical to b calls of advance(); the
-     * batching only overlaps the independent dependency chains.
-     */
-    void advanceBatch(double *temps, const double *powers, std::size_t b,
-                      double dt_sec);
-
-    /**
      * Jump interior temperatures to the steady state for the current
      * powers and boundaries.
      *
@@ -112,12 +99,6 @@ class FastThermalSolver
     std::vector<double> _flux; // full length
     std::vector<double> _w;    // interior length
     std::vector<double> _y;    // interior length
-
-    // Batch scratch, sized on first advanceBatch() for a given width.
-    std::vector<double> _bFlux; // full length * b
-    std::vector<double> _bW;    // interior length * b
-    std::vector<double> _bY;    // interior length * b
-    std::vector<double> _bAcc;  // b
 
     // phi_k(dt) depends only on dt; the simulator replays a small set
     // of interval lengths (poll periods, trace cadence), so memoize

@@ -214,10 +214,6 @@ ThermalNetwork::fastReady()
     if (_topologyDirty)
         refreshTopologyCache();
     if (_fastDirty) {
-        // Never rebuild in place while another network aliases this
-        // solver: give the others their decomposition, take a fresh one.
-        if (!_fast || _fast.use_count() > 1)
-            _fast = std::make_shared<FastThermalSolver>();
         std::vector<double> caps(_nodes.size());
         for (ThermalNodeId i = 0; i < _nodes.size(); ++i)
             caps[i] = _nodes[i].capacitance;
@@ -225,42 +221,12 @@ ThermalNetwork::fastReady()
         edges.reserve(_edges.size());
         for (const Edge &e : _edges)
             edges.push_back(FastSolverEdge{e.a, e.b, e.conductance});
-        _fastUsable = _fast->build(caps, edges);
+        _fastUsable = _fast.build(caps, edges);
         _fastTemps.resize(_nodes.size());
         _fastPowers.resize(_nodes.size());
         _fastDirty = false;
     }
     return _fastUsable;
-}
-
-bool
-ThermalNetwork::adoptFastSolver(ThermalNetwork &donor)
-{
-    if (this == &donor)
-        return donor.fastReady();
-    if (!donor.fastReady())
-        return false;
-    if (_topologyDirty)
-        refreshTopologyCache();
-    if (_nodes.size() != donor._nodes.size() ||
-        _edges.size() != donor._edges.size())
-        return false;
-    for (ThermalNodeId i = 0; i < _nodes.size(); ++i) {
-        if (_nodes[i].capacitance != donor._nodes[i].capacitance)
-            return false;
-    }
-    for (std::size_t i = 0; i < _edges.size(); ++i) {
-        if (_edges[i].a != donor._edges[i].a ||
-            _edges[i].b != donor._edges[i].b ||
-            _edges[i].conductance != donor._edges[i].conductance)
-            return false;
-    }
-    _fast = donor._fast;
-    _fastUsable = true;
-    _fastTemps.resize(_nodes.size());
-    _fastPowers.resize(_nodes.size());
-    _fastDirty = false;
-    return true;
 }
 
 void
@@ -282,52 +248,10 @@ ThermalNetwork::fastAdvance(Time dt)
         return;
     }
     gatherFastState();
-    _fast->advance(_fastTemps, _fastPowers, dt.toSec());
+    _fast.advance(_fastTemps, _fastPowers, dt.toSec());
     for (ThermalNodeId i = 0; i < _nodes.size(); ++i) {
         if (_nodes[i].capacitance > 0.0)
             _nodes[i].temp = _fastTemps[i];
-    }
-}
-
-void
-ThermalNetwork::fastAdvanceBatch(ThermalNetwork *const *nets,
-                                 std::size_t count, Time dt)
-{
-    if (count == 0 || dt <= Time::zero())
-        return;
-    bool shared = true;
-    for (std::size_t i = 0; i < count && shared; ++i) {
-        if (nets[i]->_nodes.empty() || !nets[i]->fastReady() ||
-            nets[i]->_fast != nets[0]->_fast)
-            shared = false;
-    }
-    if (!shared || count == 1) {
-        for (std::size_t i = 0; i < count; ++i)
-            nets[i]->fastAdvance(dt);
-        return;
-    }
-
-    FastThermalSolver &solver = *nets[0]->_fast;
-    std::size_t n_nodes = nets[0]->_nodes.size();
-    // Planar [node * count + die] gather so the solver's die loop is
-    // contiguous. thread_local: one cohort runs per worker thread.
-    static thread_local std::vector<double> temps, powers;
-    temps.resize(n_nodes * count);
-    powers.resize(n_nodes * count);
-    for (std::size_t d = 0; d < count; ++d) {
-        const std::vector<Node> &nodes = nets[d]->_nodes;
-        for (ThermalNodeId i = 0; i < n_nodes; ++i) {
-            temps[i * count + d] = nodes[i].temp;
-            powers[i * count + d] = nodes[i].power;
-        }
-    }
-    solver.advanceBatch(temps.data(), powers.data(), count, dt.toSec());
-    for (std::size_t d = 0; d < count; ++d) {
-        std::vector<Node> &nodes = nets[d]->_nodes;
-        for (ThermalNodeId i = 0; i < n_nodes; ++i) {
-            if (nodes[i].capacitance > 0.0)
-                nodes[i].temp = temps[i * count + d];
-        }
     }
 }
 
@@ -338,7 +262,7 @@ ThermalNetwork::fastPreview(ThermalNodeId node, Time dt)
     if (dt <= Time::zero() || !fastReady())
         return Celsius(_nodes[node].temp);
     gatherFastState();
-    _fast->advance(_fastTemps, _fastPowers, dt.toSec());
+    _fast.advance(_fastTemps, _fastPowers, dt.toSec());
     return Celsius(_fastTemps[node]);
 }
 
@@ -352,7 +276,7 @@ ThermalNetwork::solveSteadyState(double tolerance, int max_iters,
     // purely iterative path's.
     if (!_nodes.empty() && fastReady()) {
         gatherFastState();
-        if (_fast->steadyState(_fastTemps, _fastPowers)) {
+        if (_fast.steadyState(_fastTemps, _fastPowers)) {
             for (ThermalNodeId i = 0; i < _nodes.size(); ++i) {
                 if (_nodes[i].capacitance > 0.0)
                     _nodes[i].temp = _fastTemps[i];

@@ -17,7 +17,6 @@
 #define PVAR_THERMAL_RC_NETWORK_HH
 
 #include <cstddef>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -138,31 +137,6 @@ class ThermalNetwork
     bool fastReady();
 
     /**
-     * Share `donor`'s analytic solver instead of building our own.
-     *
-     * Only succeeds when the two topologies are bit-identical (same
-     * node capacitances and edge list), in which case the donor's
-     * eigendecomposition is exactly what build() would produce here
-     * and sharing it changes no result bits. Cohorts of same-spec
-     * dies use this so B networks pay for one decomposition.
-     *
-     * @return false (this network keeps its own solver) when the
-     *         topologies differ or the donor's solver is unusable.
-     */
-    bool adoptFastSolver(ThermalNetwork &donor);
-
-    /**
-     * Advance `count` same-topology networks by `dt` in one batched
-     * jump through their shared analytic solver. Per-die results are
-     * bit-identical to calling fastAdvance(dt) on each network in
-     * turn; the batch only interleaves the independent per-die
-     * dependency chains. Networks that are not ready or do not share
-     * one solver degrade to serial fastAdvance calls.
-     */
-    static void fastAdvanceBatch(ThermalNetwork *const *nets,
-                                 std::size_t count, Time dt);
-
-    /**
      * @name Live-point state.
      *
      * Only per-node temperature and injected power are dynamic; the
@@ -236,11 +210,8 @@ class ThermalNetwork
     SubstepEntry _substepCache[2];
     int _substepMru = 0;
 
-    // Analytic solver state, rebuilt lazily per topology. Held by
-    // shared_ptr so same-topology networks in a cohort can alias one
-    // decomposition; a rebuild allocates fresh when shared so a donor
-    // is never clobbered under its other users.
-    std::shared_ptr<FastThermalSolver> _fast;
+    // Analytic solver state, rebuilt lazily per topology.
+    FastThermalSolver _fast;
     bool _fastDirty = true;
     bool _fastUsable = false;
     std::vector<double> _fastTemps;  // gather/scatter scratch

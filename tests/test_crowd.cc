@@ -12,6 +12,7 @@
 #include "accubench/phase_windows.hh"
 #include "accubench/throttle_analysis.hh"
 #include "device/catalog.hh"
+#include "sim/logging.hh"
 
 namespace pvar
 {
@@ -141,6 +142,40 @@ TEST(Crowd, DeterministicForSeed)
         EXPECT_DOUBLE_EQ(a.outcomes[i].trueAmbientC,
                          b.outcomes[i].trueAmbientC);
     }
+}
+
+TEST(Crowd, BitIdenticalAcrossJobs)
+{
+    CrowdConfig cfg;
+    cfg.units = 6;
+    cfg.seed = 99;
+    cfg.solver = SolverKind::Fast;
+    cfg.accubench.warmupDuration = Time::sec(10);
+    cfg.accubench.workloadDuration = Time::sec(20);
+    cfg.accubench.cooldownTimeout = Time::minutes(5);
+
+    LogLevel old = setLogLevel(LogLevel::Quiet);
+    CrowdResult j1 = simulateCrowd(cfg);
+    cfg.jobs = 2;
+    CrowdResult j2 = simulateCrowd(cfg);
+    setLogLevel(old);
+
+    ASSERT_EQ(j1.outcomes.size(), j2.outcomes.size());
+    for (std::size_t i = 0; i < j1.outcomes.size(); ++i) {
+        EXPECT_EQ(j1.outcomes[i].report.unitId,
+                  j2.outcomes[i].report.unitId);
+        EXPECT_EQ(j1.outcomes[i].report.score,
+                  j2.outcomes[i].report.score);
+        EXPECT_EQ(j1.outcomes[i].report.estimatedAmbientC,
+                  j2.outcomes[i].report.estimatedAmbientC);
+        EXPECT_EQ(j1.outcomes[i].trueAmbientC,
+                  j2.outcomes[i].trueAmbientC);
+    }
+    // The streaming population summary folds in unit order, so it is
+    // bit-identical too.
+    EXPECT_EQ(j1.scores.mean(), j2.scores.mean());
+    EXPECT_EQ(j1.scores.median(), j2.scores.median());
+    EXPECT_EQ(j1.scores.p90(), j2.scores.p90());
 }
 
 TEST(Crowd, SeedsChangePopulation)

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <gtest/gtest.h>
+#include <ostream>
 
 #include "silicon/die.hh"
 #include "silicon/process_node.hh"
@@ -152,15 +153,31 @@ TEST(Die, LeakagePowerIsVTimesI)
                 v.value() * d.leakageCurrent(v, t).value(), 1e-12);
 }
 
+/**
+ * One process node of a sweep. The label names the ctest case: the
+ * default printer would show the factory's address, which moves from
+ * build to build.
+ */
+struct NodeCase
+{
+    const char *label;
+    ProcessNode (*make)();
+
+    friend void
+    PrintTo(const NodeCase &c, std::ostream *os)
+    {
+        *os << c.label;
+    }
+};
+
 /** Property: the speed/leakage/power relations hold on every node. */
-class DieNodeSweep
-    : public ::testing::TestWithParam<ProcessNode (*)()>
+class DieNodeSweep : public ::testing::TestWithParam<NodeCase>
 {
 };
 
 TEST_P(DieNodeSweep, CoupledSpeedAndLeakInvariants)
 {
-    ProcessNode node = GetParam()();
+    ProcessNode node = GetParam().make();
     Die d(node, DieParams{"x", 1.0, 1.0, 0.0});
 
     // fmax at vMax must exceed fmax at vMin.
@@ -176,8 +193,10 @@ TEST_P(DieNodeSweep, CoupledSpeedAndLeakInvariants)
 }
 
 INSTANTIATE_TEST_SUITE_P(Nodes, DieNodeSweep,
-                         ::testing::Values(&node28nmHPm, &node20nmSoC,
-                                           &node14nmFinFET));
+                         ::testing::Values(NodeCase{"28nmHPm", &node28nmHPm},
+                                           NodeCase{"20nmSoC", &node20nmSoC},
+                                           NodeCase{"14nmFinFET",
+                                                     &node14nmFinFET}));
 
 } // namespace
 } // namespace pvar

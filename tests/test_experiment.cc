@@ -1,12 +1,24 @@
 /**
  * @file
- * Tests for the experiment runner (thermabox + supply + N iterations).
+ * Tests for the experiment runner (thermabox + supply + N iterations)
+ * and the study-level byte contracts it carries: a golden full-study
+ * capture, fault-plan replay across jobs counts, and warm-cache reruns.
  */
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <memory>
+#include <sstream>
+#include <string>
+
 #include "accubench/experiment.hh"
+#include "accubench/protocol.hh"
 #include "device/catalog.hh"
+#include "fault/fault.hh"
+#include "report/json.hh"
+#include "sim/logging.hh"
+#include "store/result_cache.hh"
 
 namespace pvar
 {
@@ -153,6 +165,123 @@ TEST(Experiment, HotterAmbientCostsEnergy)
     // Same frequency, same work.
     EXPECT_NEAR(hot_r.meanScore(), cold_r.meanScore(),
                 cold_r.meanScore() * 0.01);
+}
+
+// ---------------------------------------------------------------------
+// Study-level byte contracts.
+// ---------------------------------------------------------------------
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream f(path, std::ios::binary);
+    std::ostringstream out;
+    out << f.rdbuf();
+    return out.str();
+}
+
+/** The study pvar_study runs for the golden capture. */
+StudyConfig
+goldenStudyConfig(int jobs)
+{
+    StudyConfig cfg;
+    cfg.iterations = 1;
+    cfg.jobs = jobs;
+    cfg.solver = SolverKind::Fast;
+    return cfg;
+}
+
+/** Shortened fast-solver experiments for multi-run studies. */
+StudyConfig
+quickStudyConfig(int jobs)
+{
+    StudyConfig cfg;
+    cfg.iterations = 1;
+    cfg.jobs = jobs;
+    cfg.solver = SolverKind::Fast;
+    cfg.accubench.warmupDuration = Time::sec(20);
+    cfg.accubench.workloadDuration = Time::sec(30);
+    cfg.accubench.cooldownTimeout = Time::minutes(5);
+    return cfg;
+}
+
+class QuietScope
+{
+  public:
+    QuietScope() : _old(setLogLevel(LogLevel::Quiet)) {}
+    ~QuietScope() { setLogLevel(_old); }
+
+  private:
+    LogLevel _old;
+};
+
+/**
+ * data/full_study_fast_iter1.json is the byte-exact output of
+ * `pvar_study --iterations 1 --jobs 1 --solver fast --json`. Serial
+ * and parallel runs must both reproduce it exactly.
+ */
+TEST(Experiment, FullStudyMatchesPreBatchGolden)
+{
+    std::string golden =
+        readFile(std::string(PVAR_TEST_DATA_DIR) +
+                 "/full_study_fast_iter1.json");
+    ASSERT_FALSE(golden.empty());
+
+    QuietScope quiet;
+    // The tool appends one newline after the document.
+    EXPECT_EQ(toJson(runFullStudy(goldenStudyConfig(1))) + "\n", golden);
+    EXPECT_EQ(toJson(runFullStudy(goldenStudyConfig(4))) + "\n", golden);
+}
+
+/** Install a plan for one test; always uninstalls on scope exit. */
+class PlanGuard
+{
+  public:
+    explicit PlanGuard(FaultPlan plan)
+    {
+        installFaultPlan(std::make_shared<FaultPlan>(std::move(plan)));
+    }
+    ~PlanGuard() { clearFaultPlan(); }
+};
+
+TEST(Experiment, FaultedStudyIsBitIdenticalAcrossJobs)
+{
+    FaultPlan plan(20250808);
+    FaultRule rule;
+    rule.site = FaultSite::ExperimentRun;
+    rule.kind = FaultKind::Transient;
+    rule.probability = 0.35;
+    plan.addRule(rule);
+    PlanGuard guard(std::move(plan));
+
+    QuietScope quiet;
+    SocStudy j1 = runSocStudy("SD-805", quickStudyConfig(1));
+    SocStudy j4 = runSocStudy("SD-805", quickStudyConfig(4));
+    EXPECT_EQ(toJson(j1), toJson(j4));
+    // The retry supervisor's attempt counters must match too — the
+    // per-(task, attempt) fault scopes are part of the invariant.
+    ASSERT_EQ(j1.units.size(), j4.units.size());
+    for (std::size_t i = 0; i < j1.units.size(); ++i) {
+        EXPECT_EQ(j1.units[i].unconstrainedAttempts,
+                  j4.units[i].unconstrainedAttempts);
+        EXPECT_EQ(j1.units[i].fixedAttempts, j4.units[i].fixedAttempts);
+    }
+}
+
+TEST(Experiment, WarmCacheServesStudy)
+{
+    QuietScope quiet;
+    ResultCache cache;
+    StudyConfig cfg = quickStudyConfig(2);
+    cfg.cache = &cache;
+    SocStudy cold = runSocStudy("SD-805", cfg);
+    std::uint64_t cold_misses = cache.stats().misses;
+    SocStudy warm = runSocStudy("SD-805", cfg);
+
+    EXPECT_EQ(toJson(cold), toJson(warm));
+    // Every warm experiment is served from the cache: no new misses.
+    EXPECT_EQ(cache.stats().misses, cold_misses);
+    EXPECT_GE(cache.stats().hits, 6u); // 3 units x 2 modes
 }
 
 } // namespace

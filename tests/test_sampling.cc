@@ -7,11 +7,11 @@
  *  - the stratified sampler's statistical contract, pinned against an
  *    exhaustive small-population oracle (estimates near truth, CI
  *    coverage near nominal across seeds);
- *  - byte-invariance of the study report across jobs/batch values;
+ *  - byte-invariance of the study report across jobs values;
  *  - the live-point checkpoint contract: warm reruns are
  *    byte-identical to cold runs and provably go through the restore
  *    path; corrupt checkpoints degrade to a cold start, never to
- *    different bits.
+ *    different bits; the captured record bytes are pinned.
  */
 
 #include <algorithm>
@@ -21,14 +21,15 @@
 #include <gtest/gtest.h>
 #include <map>
 #include <string>
-#include <utility>
 #include <vector>
 
+#include "accubench/experiment.hh"
 #include "device/fleet.hh"
-#include "sampling/cohort_runner.hh"
 #include "sampling/lower_bound.hh"
 #include "sampling/population.hh"
 #include "sampling/sampler.hh"
+#include "sim/bytes.hh"
+#include "sim/parallel.hh"
 
 namespace pvar
 {
@@ -77,16 +78,13 @@ exhaustiveTruth(const CrowdStudyConfig &cfg)
         dies[i] = crowdDie(cfg.population, i);
 
     std::vector<double> scores(n);
-    runCohortWindows(
-        n, cfg.jobs, cfg.batch, cfg.solver,
-        [&](std::size_t i) {
-            return makeUnitForSoc(cfg.population.socName,
-                                  dies[i].corner);
-        },
-        [&](std::size_t i) { return crowdDieExperiment(cfg, dies[i]); },
-        [&](std::size_t i, Device &, ExperimentResult &r) {
-            scores[i] = r.meanScore();
-        });
+    parallelFor(n, cfg.jobs, [&](std::size_t i) {
+        auto device =
+            makeUnitForSoc(cfg.population.socName, dies[i].corner);
+        scores[i] =
+            runExperiment(*device, crowdDieExperiment(cfg, dies[i]))
+                .meanScore();
+    });
 
     Truth t;
     double sum = 0.0;
@@ -258,16 +256,12 @@ TEST(CrowdSampler, BytesInvariantAcrossJobsAndBatch)
 {
     CrowdStudyConfig cfg = quickStudy(256, 9, 8, 4);
     cfg.jobs = 1;
-    cfg.batch = 0;
     std::string reference = crowdStudyJson(runCrowdStudy(cfg));
 
-    cfg.jobs = 4;
-    cfg.batch = 1;
-    EXPECT_EQ(crowdStudyJson(runCrowdStudy(cfg)), reference);
-
-    cfg.jobs = 3;
-    cfg.batch = 16;
-    EXPECT_EQ(crowdStudyJson(runCrowdStudy(cfg)), reference);
+    for (int jobs : {4, 3}) {
+        cfg.jobs = jobs;
+        EXPECT_EQ(crowdStudyJson(runCrowdStudy(cfg)), reference);
+    }
 }
 
 TEST(LowerBound, BytesInvariantAcrossJobsAndBatch)
@@ -280,13 +274,10 @@ TEST(LowerBound, BytesInvariantAcrossJobsAndBatch)
     shorten(cfg.accubench);
 
     cfg.jobs = 1;
-    cfg.batch = 0;
     auto reference = sampleSizeStudy(cfg);
 
-    for (auto [jobs, batch] : {std::pair<int, int>{4, 1},
-                               std::pair<int, int>{2, 16}}) {
+    for (int jobs : {4, 2}) {
         cfg.jobs = jobs;
-        cfg.batch = batch;
         auto got = sampleSizeStudy(cfg);
         ASSERT_EQ(got.size(), reference.size());
         for (std::size_t i = 0; i < got.size(); ++i) {
@@ -333,6 +324,27 @@ class TestLivePointCache : public LivePointCache
     std::uint64_t hits = 0;
     std::uint64_t stores = 0;
 };
+
+/**
+ * The record a cold run captures, pinned by size and digest: stores
+ * written by earlier builds must keep warm-restoring, so neither the
+ * capture point nor the record's fields and section order may drift.
+ */
+TEST(LivePoints, ColdCaptureRecordBytesArePinned)
+{
+    CrowdStudyConfig cfg = quickStudy(64, 3, 4, 2);
+    TestLivePointCache cache;
+    cfg.livePoints = &cache;
+    CrowdDie die = crowdDie(cfg.population, 17);
+    auto device = makeUnitForSoc(cfg.population.socName, die.corner);
+    runExperiment(*device, crowdDieExperiment(cfg, die));
+
+    ASSERT_EQ(cache.map.size(), 1u);
+    const std::string &value = cache.map.begin()->second;
+    EXPECT_EQ(value.size(), 25626u);
+    EXPECT_EQ(fnv1a64(value.data(), value.size()),
+              0x4ed4c9f4f5de664dull);
+}
 
 TEST(LivePoints, WarmRerunIsByteIdenticalAndActuallyRestores)
 {

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <gtest/gtest.h>
+#include <ostream>
 
 #include "silicon/process_node.hh"
 #include "silicon/variation_model.hh"
@@ -107,15 +108,31 @@ TEST(VariationModel, TypicalCornerIsNominal)
     EXPECT_DOUBLE_EQ(d.params().leakFactor, 1.0);
 }
 
+/**
+ * One process node of a sweep. The label names the ctest case: the
+ * default printer would show the factory's address, which moves from
+ * build to build.
+ */
+struct NodeCase
+{
+    const char *label;
+    ProcessNode (*make)();
+
+    friend void
+    PrintTo(const NodeCase &c, std::ostream *os)
+    {
+        *os << c.label;
+    }
+};
+
 /** Property: the leakage spread dwarfs the speed spread on all nodes. */
-class VariationNodeSweep
-    : public ::testing::TestWithParam<ProcessNode (*)()>
+class VariationNodeSweep : public ::testing::TestWithParam<NodeCase>
 {
 };
 
 TEST_P(VariationNodeSweep, LeakSpreadExceedsSpeedSpread)
 {
-    VariationModel m(GetParam()());
+    VariationModel m(GetParam().make());
     Rng rng(13);
     auto lot = m.sampleLot(rng, 1000);
 
@@ -133,8 +150,10 @@ TEST_P(VariationNodeSweep, LeakSpreadExceedsSpeedSpread)
 }
 
 INSTANTIATE_TEST_SUITE_P(Nodes, VariationNodeSweep,
-                         ::testing::Values(&node28nmHPm, &node20nmSoC,
-                                           &node14nmFinFET));
+                         ::testing::Values(NodeCase{"28nmHPm", &node28nmHPm},
+                                           NodeCase{"20nmSoC", &node20nmSoC},
+                                           NodeCase{"14nmFinFET",
+                                                     &node14nmFinFET}));
 
 } // namespace
 } // namespace pvar

@@ -19,9 +19,6 @@
  *     --jobs N          parallel experiment workers (default: all
  *                       hardware threads; results are identical for
  *                       any N)
- *     --batch B         die-cohort width: B same-model experiments in
- *                       lockstep sharing one thermal eigendecomposition
- *                       (results identical for any B)
  *     --json            print results as JSON instead of the table
  *     --csv             print the summary as CSV instead of the table
  *     --output PATH     write the report to PATH instead of stdout
@@ -96,12 +93,6 @@ usage()
         "                    bit-exact) or \"fast\" (analytic event-to-\n"
         "                    event stepping; agrees to tolerance and\n"
         "                    runs 10-100x faster per experiment)\n"
-        "  --batch B         die-cohort width: run B same-model\n"
-        "                    experiments in lockstep sharing one\n"
-        "                    thermal eigendecomposition. Per-die\n"
-        "                    results identical for any B (pure\n"
-        "                    throughput knob); default: engine pick\n"
-        "                    (~16 fast, serial stepped)\n"
         "  --json            print results as JSON instead of the table\n"
         "  --csv             print the summary as CSV instead of the "
         "table\n"
@@ -288,8 +279,6 @@ main(int argc, char **argv)
                       "\"fast\", got \"%s\"",
                       kind.c_str());
             solver_given = true;
-        } else if (arg == "--batch") {
-            cfg.batch = static_cast<int>(intArg(arg, next(), 1));
         } else if (arg == "--json") {
             as_json = true;
         } else if (arg == "--csv") {
@@ -341,7 +330,6 @@ main(int argc, char **argv)
     if (crowd_n > 0) {
         crowd.population.size = static_cast<std::uint64_t>(crowd_n);
         crowd.jobs = cfg.jobs;
-        crowd.batch = cfg.batch;
         // Crowd defaults diverge from the fleet study: the analytic
         // solver and a single iteration are what make population
         // scale tractable; explicit flags still win.
