@@ -1,5 +1,6 @@
 #include "store/codec.hh"
 
+#include <algorithm>
 #include <cstdint>
 
 #include "sim/bytes.hh"
@@ -115,6 +116,10 @@ decodeExperimentResult(const std::string &bytes, ExperimentResult &out)
             n_samples > kMaxCount)
             return false;
         TraceChannel &ch = out.trace.channel(name);
+        // Each sample takes 16 bytes, so the bytes left bound the
+        // count: a corrupt count cannot drive a large reservation.
+        ch.reserve(static_cast<std::size_t>(
+            std::min<std::uint64_t>(n_samples, r.remaining() / 16)));
         for (std::uint64_t s = 0; s < n_samples; ++s) {
             std::int64_t when = 0;
             double value = 0.0;

@@ -1,6 +1,7 @@
 #include "store/record_log.hh"
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
 #include <cstring>
 #include <vector>
@@ -90,28 +91,55 @@ writeAll(int fd, const void *buf, std::size_t size)
     return true;
 }
 
+/**
+ * Slicing-by-8 tables for the reflected IEEE polynomial: kCrc[0] is
+ * the classic byte table, and kCrc[k][i] advances kCrc[k-1][i] by one
+ * more zero byte, so one round folds eight input bytes at once.
+ */
+constexpr auto kCrc = [] {
+    std::array<std::array<std::uint32_t, 256>, 8> t{};
+    for (std::uint32_t i = 0; i < 256; ++i) {
+        std::uint32_t c = i;
+        for (int k = 0; k < 8; ++k)
+            c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+        t[0][i] = c;
+    }
+    for (std::size_t k = 1; k < 8; ++k) {
+        for (std::size_t i = 0; i < 256; ++i)
+            t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xffu];
+    }
+    return t;
+}();
+
+/**
+ * Advance the raw (pre-inverted) CRC register @p c over @p size
+ * bytes, so a record's payload can be checked piecewise as it lands
+ * in its destination strings.
+ */
+std::uint32_t
+crc32Update(std::uint32_t c, const unsigned char *p, std::size_t size)
+{
+    for (; size >= 8; p += 8, size -= 8) {
+        std::uint32_t lo = c ^ loadLe32(p);
+        std::uint32_t hi = loadLe32(p + 4);
+        c = kCrc[7][lo & 0xffu] ^ kCrc[6][(lo >> 8) & 0xffu] ^
+            kCrc[5][(lo >> 16) & 0xffu] ^ kCrc[4][lo >> 24] ^
+            kCrc[3][hi & 0xffu] ^ kCrc[2][(hi >> 8) & 0xffu] ^
+            kCrc[1][(hi >> 16) & 0xffu] ^ kCrc[0][hi >> 24];
+    }
+    for (; size > 0; ++p, --size)
+        c = kCrc[0][(c ^ *p) & 0xffu] ^ (c >> 8);
+    return c;
+}
+
 } // namespace
 
 std::uint32_t
 crc32(const void *data, std::size_t size)
 {
-    // Table-driven IEEE CRC-32, table built on first use.
-    static const std::uint32_t *table = [] {
-        static std::uint32_t t[256];
-        for (std::uint32_t i = 0; i < 256; ++i) {
-            std::uint32_t c = i;
-            for (int k = 0; k < 8; ++k)
-                c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-            t[i] = c;
-        }
-        return t;
-    }();
-
-    std::uint32_t c = 0xffffffffu;
-    const unsigned char *p = static_cast<const unsigned char *>(data);
-    for (std::size_t i = 0; i < size; ++i)
-        c = table[(c ^ p[i]) & 0xffu] ^ (c >> 8);
-    return c ^ 0xffffffffu;
+    return crc32Update(0xffffffffu,
+                       static_cast<const unsigned char *>(data), size) ^
+           0xffffffffu;
 }
 
 std::size_t
@@ -120,7 +148,8 @@ RecordLog::recordBytes(std::size_t key_size, std::size_t value_size)
     return kPrefixBytes + 4 + key_size + 4 + value_size;
 }
 
-RecordLog::RecordLog(std::string path, int sync_every)
+RecordLog::RecordLog(std::string path, int sync_every,
+                     const RecordVisitor &visit)
     : _path(std::move(path)), _syncEvery(sync_every)
 {
     _fd = ::open(_path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
@@ -128,7 +157,7 @@ RecordLog::RecordLog(std::string path, int sync_every)
         fatal("record log: cannot open '%s': %s", _path.c_str(),
               std::strerror(errno));
     }
-    recover();
+    recover(visit);
 }
 
 RecordLog::~RecordLog()
@@ -141,7 +170,7 @@ RecordLog::~RecordLog()
 }
 
 void
-RecordLog::recover()
+RecordLog::recover(const RecordVisitor &visit)
 {
     struct stat st{};
     if (::fstat(_fd, &st) != 0) {
@@ -202,15 +231,17 @@ RecordLog::recover()
         return;
     }
 
-    // Walk the records, keeping the longest valid prefix. readAt()
-    // bounds-checks against _end, so expose the whole file while
-    // scanning and pull _end back to the last valid record after.
+    // Walk the records, keeping the longest valid prefix and handing
+    // each one to the visitor: this is the only pass over the file at
+    // open. readAt() bounds-checks against _end, so expose the whole
+    // file while scanning and pull _end back to the last valid record
+    // after.
     _end = size;
     std::int64_t pos = static_cast<std::int64_t>(kHeaderBytes);
-    while (pos < size) {
-        std::string k, v;
-        if (!readAt(pos, k, v))
-            break;
+    std::string k, v;
+    while (pos < size && readAt(pos, k, v)) {
+        if (visit)
+            visit(pos, k, v);
         pos += static_cast<std::int64_t>(
             recordBytes(k.size(), v.size()));
         ++_stats.records;
@@ -298,46 +329,53 @@ bool
 RecordLog::readAt(std::int64_t offset, std::string &key,
                   std::string &value) const
 {
+    // length u32 | crc u32 | key_len u32 is the shortest prefix that
+    // fixes where the key and value bytes lie; any valid record is
+    // longer than that.
+    constexpr std::size_t kHeadBytes = kPrefixBytes + 4;
     if (offset < static_cast<std::int64_t>(kHeaderBytes) ||
-        offset + static_cast<std::int64_t>(kPrefixBytes) > _end)
+        offset + static_cast<std::int64_t>(kHeadBytes) > _end)
         return false;
 
-    unsigned char prefix[kPrefixBytes];
-    if (!preadAll(_fd, prefix, kPrefixBytes, offset))
+    unsigned char head[kHeadBytes];
+    if (!preadAll(_fd, head, kHeadBytes, offset))
         return false;
-    std::uint32_t length = loadLe32(prefix);
-    std::uint32_t want_crc = loadLe32(prefix + 4);
+    std::uint32_t length = loadLe32(head);
+    std::uint32_t want_crc = loadLe32(head + 4);
+    std::uint32_t key_len = loadLe32(head + 8);
     if (length < 8 || length > kMaxPayloadBytes ||
         offset + static_cast<std::int64_t>(kPrefixBytes + length) >
-            _end)
+            _end ||
+        key_len > length - 8)
         return false;
+    std::uint32_t value_len = length - 8 - key_len;
 
-    std::vector<unsigned char> payload(length);
-    if (!preadAll(_fd, payload.data(), length,
-                  offset + static_cast<std::int64_t>(kPrefixBytes)))
+    // Read the key with the value_len field behind it, then the value,
+    // straight into the caller's strings; the CRC follows the payload
+    // piece by piece, so no staging copy is made.
+    std::int64_t pos = offset + static_cast<std::int64_t>(kHeadBytes);
+    key.resize(std::size_t{key_len} + 4);
+    value.resize(value_len);
+    if (!preadAll(_fd, key.data(), key.size(), pos) ||
+        !preadAll(_fd, value.data(), value_len,
+                  pos + static_cast<std::int64_t>(key.size())))
         return false;
-    if (crc32(payload.data(), length) != want_crc)
-        return false;
-
-    std::uint32_t key_len = loadLe32(payload.data());
-    if (key_len > length - 8)
-        return false;
-    std::uint32_t value_len = loadLe32(payload.data() + 4 + key_len);
-    if (static_cast<std::uint64_t>(key_len) + value_len + 8 != length)
-        return false;
-
-    key.assign(reinterpret_cast<char *>(payload.data()) + 4, key_len);
-    value.assign(
-        reinterpret_cast<char *>(payload.data()) + 8 + key_len,
+    const auto *key_bytes =
+        reinterpret_cast<const unsigned char *>(key.data());
+    std::uint32_t c = crc32Update(0xffffffffu, head + 8, 4);
+    c = crc32Update(c, key_bytes, key.size());
+    c = crc32Update(
+        c, reinterpret_cast<const unsigned char *>(value.data()),
         value_len);
+    if ((c ^ 0xffffffffu) != want_crc ||
+        loadLe32(key_bytes + key_len) != value_len)
+        return false;
+    key.resize(key_len);
     return true;
 }
 
 void
-RecordLog::scan(const std::function<void(std::int64_t,
-                                         const std::string &,
-                                         const std::string &)> &fn)
-    const
+RecordLog::scan(const RecordVisitor &fn) const
 {
     std::int64_t pos = static_cast<std::int64_t>(kHeaderBytes);
     std::string key, value;

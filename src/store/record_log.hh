@@ -6,10 +6,12 @@
  * file of length-prefixed, CRC32-checksummed (key, value) records.
  * Appends only ever grow the file, so the only failure mode a crash
  * (or a torn write) can produce is an invalid *tail*; open() scans the
- * file, keeps the longest prefix of valid records, and truncates the
- * rest. A record that survives recovery round-trips bit-identically —
- * the CRC covers every payload byte — and a record that does not
- * simply vanishes, which callers treat as "recompute".
+ * file once, keeps the longest prefix of valid records, and truncates
+ * the rest. Each record it validates is handed to an optional visitor,
+ * so an owner builds its index in that same pass. A record that
+ * survives recovery round-trips bit-identically — the CRC covers every
+ * payload byte — and a record that does not simply vanishes, which
+ * callers treat as "recompute".
  *
  * Byte-level format (all integers little-endian; see DESIGN.md §2.4):
  *
@@ -35,8 +37,19 @@
 namespace pvar
 {
 
-/** IEEE 802.3 CRC-32 (the zlib/PNG polynomial) of @p size bytes. */
+/**
+ * IEEE 802.3 CRC-32 (the zlib/PNG polynomial) of @p size bytes,
+ * computed slicing-by-8 (eight bytes per table round).
+ */
 std::uint32_t crc32(const void *data, std::size_t size);
+
+/**
+ * Called with each valid record in file order: its offset (of the
+ * length prefix), key and value. The strings are reused between
+ * calls, so copy what must outlive the call.
+ */
+using RecordVisitor = std::function<void(
+    std::int64_t offset, const std::string &key, const std::string &value)>;
 
 /** Counters describing one opened log. */
 struct RecordLogStats
@@ -51,8 +64,10 @@ struct RecordLogStats
 };
 
 /**
- * One open record log file. Not thread-safe by itself — the owning
- * ExperimentStore serializes access.
+ * One open record log file. Not thread-safe by itself: readAt() and
+ * scan() may run concurrently with each other, but append(), sync()
+ * and destruction need exclusive access, which the owning
+ * ExperimentStore's shared mutex provides.
  */
 class RecordLog
 {
@@ -61,9 +76,12 @@ class RecordLog
      * Open (creating if absent) the log at @p path, recovering from
      * any torn tail. @p sync_every batches fsyncs: 1 syncs every
      * append, N syncs every Nth, 0 leaves durability to the OS.
-     * Fatal when the file cannot be created or opened.
+     * Recovery reads and CRC-checks every record once and hands each
+     * valid one to @p visit (may be empty) before the constructor
+     * returns. Fatal when the file cannot be created or opened.
      */
-    explicit RecordLog(std::string path, int sync_every = 8);
+    explicit RecordLog(std::string path, int sync_every = 8,
+                       const RecordVisitor &visit = {});
     ~RecordLog();
 
     RecordLog(const RecordLog &) = delete;
@@ -90,10 +108,7 @@ class RecordLog
      * invalid record (by construction only a recovered-then-appended
      * file has none). The callback gets the record's offset.
      */
-    void scan(const std::function<void(std::int64_t offset,
-                                       const std::string &key,
-                                       const std::string &value)> &fn)
-        const;
+    void scan(const RecordVisitor &fn) const;
 
     /**
      * Flush batched appends to disk now (fsync). A failed fsync is a
@@ -126,7 +141,7 @@ class RecordLog
     bool _degraded = false;
     RecordLogStats _stats;
 
-    void recover();
+    void recover(const RecordVisitor &visit);
 };
 
 } // namespace pvar

@@ -50,9 +50,7 @@ ExperimentStore::ExperimentStore(const std::string &dir, int sync_every)
     : _dir(dir), _syncEvery(sync_every)
 {
     makeDirs(_dir);
-    _log = std::make_unique<RecordLog>(_dir + "/" + kLogName,
-                                       _syncEvery);
-    rebuildIndexLocked();
+    openLogLocked();
     struct stat marker{};
     _markerOnDisk = ::stat(markerPath().c_str(), &marker) == 0;
     if (_markerOnDisk) {
@@ -81,81 +79,94 @@ ExperimentStore::ExperimentStore(const std::string &dir, int sync_every)
 }
 
 void
-ExperimentStore::rebuildIndexLocked()
+ExperimentStore::openLogLocked()
 {
     _index.clear();
     _livePointSizes.clear();
-    // Later records supersede earlier ones: the scan runs in file
-    // order, so the last insert per digest wins (and the kind tally
-    // follows whichever record kind won).
-    _log->scan([this](std::int64_t offset, const std::string &key,
-                      const std::string &value) {
-        std::string digest = contentDigest(key);
-        _index[digest] = offset;
-        _livePointSizes.erase(digest);
-        if (valueIsLivePoint(value))
-            _livePointSizes[digest] = value.size();
-    });
+    _log = std::make_unique<RecordLog>(
+        _dir + "/" + kLogName, _syncEvery,
+        [this](std::int64_t offset, const std::string &key,
+               const std::string &value) {
+            indexLocked(offset, key, value);
+        });
+    ++_logGeneration;
+}
+
+void
+ExperimentStore::indexLocked(std::int64_t offset, const std::string &key,
+                             const std::string &value)
+{
+    // Later records supersede earlier ones: recovery and appends both
+    // run in file order, so the last record per digest wins (and the
+    // kind tally follows whichever record kind won).
+    std::string digest = contentDigest(key);
+    _index[digest] = offset;
+    _livePointSizes.erase(digest);
+    if (valueIsLivePoint(value))
+        _livePointSizes[digest] = value.size();
+}
+
+bool
+ExperimentStore::readRecord(
+    const std::string &key_text,
+    const std::function<bool(std::string &)> &accept)
+{
+    std::string digest = contentDigest(key_text);
+    std::int64_t offset = -1;
+    std::uint64_t generation = 0;
+    std::string key, value;
+    bool read_ok = false;
+    {
+        std::shared_lock lock(_mutex);
+        auto it = _index.find(digest);
+        if (_degraded || it == _index.end()) {
+            // Degraded means memory-only: pretend the disk layer is
+            // empty rather than trust a log that has already lost
+            // data.
+            ++_misses;
+            return false;
+        }
+        offset = it->second;
+        generation = _logGeneration;
+        read_ok = _log->readAt(offset, key, value);
+    }
+    if (read_ok && key == key_text && accept(value)) {
+        ++_hits;
+        return true;
+    }
+    // A digest collision, a corrupt value, or a record of the other
+    // kind under this key: forget the entry so the caller's recompute
+    // can supersede it, unless a put() or compact() already has.
+    {
+        std::unique_lock lock(_mutex);
+        auto it = _index.find(digest);
+        if (it != _index.end() && it->second == offset &&
+            _logGeneration == generation) {
+            _index.erase(it);
+            _livePointSizes.erase(digest);
+        }
+    }
+    ++_misses;
+    return false;
 }
 
 bool
 ExperimentStore::get(const std::string &key_text, ExperimentResult &out)
 {
-    std::lock_guard<std::mutex> lock(_mutex);
-    if (_degraded) {
-        // Memory-only mode: pretend the disk layer is empty rather
-        // than trust a log that has already lost data.
-        ++_misses;
-        return false;
-    }
-    std::string digest = contentDigest(key_text);
-    auto it = _index.find(digest);
-    if (it == _index.end()) {
-        ++_misses;
-        return false;
-    }
-    std::string key, value;
-    if (!_log->readAt(it->second, key, value) || key != key_text ||
-        !decodeExperimentResult(value, out)) {
-        // Collision or corruption: forget the entry so the caller's
-        // recompute can supersede it.
-        _index.erase(it);
-        _livePointSizes.erase(digest);
-        ++_misses;
-        return false;
-    }
-    ++_hits;
-    return true;
+    return readRecord(key_text, [&](std::string &value) {
+        return decodeExperimentResult(value, out);
+    });
 }
 
 bool
 ExperimentStore::getBytes(const std::string &key_text, std::string &out)
 {
-    std::lock_guard<std::mutex> lock(_mutex);
-    if (_degraded) {
-        ++_misses;
-        return false;
-    }
-    std::string digest = contentDigest(key_text);
-    auto it = _index.find(digest);
-    if (it == _index.end()) {
-        ++_misses;
-        return false;
-    }
-    std::string key, value;
-    if (!_log->readAt(it->second, key, value) || key != key_text ||
-        !validateLivePointValue(value)) {
-        // Same ladder as get(): a digest collision, a corrupt value,
-        // or a *result* record under this key all degrade to a miss
-        // so the caller cold-starts and supersedes the entry.
-        _index.erase(it);
-        _livePointSizes.erase(digest);
-        ++_misses;
-        return false;
-    }
-    ++_hits;
-    out = std::move(value);
-    return true;
+    return readRecord(key_text, [&](std::string &value) {
+        if (!validateLivePointValue(value))
+            return false;
+        out = std::move(value);
+        return true;
+    });
 }
 
 void
@@ -167,27 +178,21 @@ ExperimentStore::putBytes(const std::string &key_text,
              "is not a valid live point (%zu bytes)", value.size());
         return;
     }
-    std::lock_guard<std::mutex> lock(_mutex);
-    if (_degraded)
-        return;
-    std::int64_t offset = _log->append(key_text, value);
-    if (offset < 0 || _log->degraded()) {
-        noteDegradedLocked();
-        return;
-    }
-    std::string digest = contentDigest(key_text);
-    _index[digest] = offset;
-    _livePointSizes[digest] = value.size();
-    if (_markerOnDisk)
-        clearMarkerLocked();
+    appendRecord(key_text, value);
 }
 
 void
 ExperimentStore::put(const std::string &key_text,
                      const ExperimentResult &result)
 {
-    std::string value = encodeExperimentResult(result);
-    std::lock_guard<std::mutex> lock(_mutex);
+    appendRecord(key_text, encodeExperimentResult(result));
+}
+
+void
+ExperimentStore::appendRecord(const std::string &key_text,
+                              const std::string &value)
+{
+    std::unique_lock lock(_mutex);
     if (_degraded)
         return; // memory-only: the LRU above still serves this run
     std::int64_t offset = _log->append(key_text, value);
@@ -195,9 +200,7 @@ ExperimentStore::put(const std::string &key_text,
         noteDegradedLocked();
         return;
     }
-    std::string digest = contentDigest(key_text);
-    _index[digest] = offset;
-    _livePointSizes.erase(digest); // a result superseded this digest
+    indexLocked(offset, key_text, value);
     if (_markerOnDisk) {
         // A clean write through the full path: the earlier session's
         // degradation no longer describes this directory.
@@ -208,7 +211,7 @@ ExperimentStore::put(const std::string &key_text,
 void
 ExperimentStore::sync()
 {
-    std::lock_guard<std::mutex> lock(_mutex);
+    std::unique_lock lock(_mutex);
     if (_degraded)
         return;
     _log->sync();
@@ -219,7 +222,7 @@ ExperimentStore::sync()
 std::uint64_t
 ExperimentStore::compact()
 {
-    std::lock_guard<std::mutex> lock(_mutex);
+    std::unique_lock lock(_mutex);
     RecordLogStats before = _log->stats();
 
     // Write the surviving records into a sibling file, fsync it, then
@@ -268,9 +271,7 @@ ExperimentStore::compact()
         return 0;
     }
 
-    std::string live_path = _log->path();
-    _log = std::make_unique<RecordLog>(live_path, _syncEvery);
-    rebuildIndexLocked();
+    openLogLocked();
     if (_log->degraded())
         noteDegradedLocked();
     return before.records - _log->stats().records;
@@ -282,7 +283,7 @@ ExperimentStore::forEach(
                              const ExperimentResult &)> &fn,
     std::uint64_t *bad, std::uint64_t *live_points)
 {
-    std::lock_guard<std::mutex> lock(_mutex);
+    std::shared_lock lock(_mutex);
     _log->scan([&](std::int64_t offset, const std::string &key,
                    const std::string &value) {
         auto it = _index.find(contentDigest(key));
@@ -310,7 +311,7 @@ ExperimentStore::forEach(
 ExperimentStoreStats
 ExperimentStore::stats() const
 {
-    std::lock_guard<std::mutex> lock(_mutex);
+    std::shared_lock lock(_mutex);
     RecordLogStats ls = _log->stats();
     ExperimentStoreStats s;
     s.records = _index.size();
@@ -340,7 +341,7 @@ ExperimentStore::logPath() const
 bool
 ExperimentStore::degraded() const
 {
-    std::lock_guard<std::mutex> lock(_mutex);
+    std::shared_lock lock(_mutex);
     return _degraded;
 }
 

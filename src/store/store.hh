@@ -5,13 +5,24 @@
  * JSON the in-memory ResultCache already hashes) to a persisted
  * ExperimentResult, backed by an append-only RecordLog.
  *
- * On open, the log is recovered (torn tail truncated) and scanned
- * once to rebuild an in-memory index of content digest → file offset;
- * later records supersede earlier ones with the same digest, exactly
- * like the LRU's overwrite semantics. Every read re-verifies the full
- * key text against the caller's key and re-decodes through the
- * checksummed log, so a digest collision or on-disk corruption
- * degrades to a miss — never a wrong result.
+ * Opening the store is one verified pass over the log: the RecordLog
+ * recovers (torn tail truncated) and CRC-checks every record once,
+ * handing each valid record to the store's indexer, which builds the
+ * in-memory index of content digest → file offset; later records
+ * supersede earlier ones with the same digest, exactly like the LRU's
+ * overwrite semantics. Every read re-verifies the record's CRC, the
+ * full key text against the caller's key, and decodes (or validates)
+ * the value, so a digest collision or on-disk corruption degrades to
+ * a miss — never a wrong result.
+ *
+ * Reads take the store's shared mutex only for the index lookup and
+ * the pread + CRC of the record; the key comparison and the decode
+ * run outside any lock, so concurrent warm reads proceed in parallel.
+ * A read that fails re-locks exclusively and drops the index entry
+ * only if it still names the record that failed (same offset in the
+ * same log): a put() or compact() that superseded it in between keeps
+ * its entry. Writes (put, putBytes, sync, compact) hold the mutex
+ * exclusively.
  *
  * compact() rewrites the log keeping only the live record per digest
  * (dropping superseded versions and records whose value no longer
@@ -24,10 +35,11 @@
 #ifndef PVAR_STORE_STORE_HH
 #define PVAR_STORE_STORE_HH
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
+#include <shared_mutex>
 #include <string>
 #include <unordered_map>
 
@@ -86,7 +98,7 @@ class ExperimentStore
      *
      * Live points persist opaque simulator state (codec v3, see
      * store/codec.hh) under the same digest-indexed log as results.
-     * getBytes applies the identical safety ladder as get(): absent,
+     * getBytes shares get()'s read path and safety ladder: absent,
      * key-text mismatch, or a structurally invalid live-point value
      * are all misses (the corrupt entry is dropped from the index so
      * a recompute supersedes it). putBytes refuses values that do not
@@ -137,20 +149,38 @@ class ExperimentStore
     std::string markerPath() const;
 
   private:
-    mutable std::mutex _mutex;
+    mutable std::shared_mutex _mutex;
     std::string _dir;
     int _syncEvery;
     std::unique_ptr<RecordLog> _log;
+    /// Bumped whenever compact() swaps in a new log, so an offset
+    /// taken from the old log never matches an entry of the new one.
+    std::uint64_t _logGeneration = 0;
     std::unordered_map<std::string, std::int64_t> _index;
     // Digest → value size for live (indexed) live-point records, so
     // stats() can report kind counts without rescanning the log.
     std::unordered_map<std::string, std::uint64_t> _livePointSizes;
-    std::uint64_t _hits = 0;
-    std::uint64_t _misses = 0;
+    std::atomic<std::uint64_t> _hits{0};
+    std::atomic<std::uint64_t> _misses{0};
     bool _degraded = false;     ///< this session hit an I/O failure
     bool _markerOnDisk = false; ///< marker file currently exists
 
-    void rebuildIndexLocked();
+    /** Open the log at its path, indexing every record it recovers. */
+    void openLogLocked();
+    /** Point @p key's digest at the record at @p offset. */
+    void indexLocked(std::int64_t offset, const std::string &key,
+                     const std::string &value);
+    /**
+     * The one read path behind get() and getBytes(): find, read and
+     * verify the record for @p key_text, then hand its value to
+     * @p accept (decode or validate). Any failure is a miss.
+     */
+    bool
+    readRecord(const std::string &key_text,
+               const std::function<bool(std::string &value)> &accept);
+    /** Append one record (the one write path behind put/putBytes). */
+    void appendRecord(const std::string &key_text,
+                      const std::string &value);
     void noteDegradedLocked();
     void clearMarkerLocked();
 };

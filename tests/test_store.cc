@@ -14,11 +14,15 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <sys/stat.h>
@@ -28,6 +32,7 @@
 #include "device/registry.hh"
 #include "fault/fault.hh"
 #include "report/json.hh"
+#include "sim/bytes.hh"
 #include "sim/logging.hh"
 #include "store/codec.hh"
 #include "store/durable_cache.hh"
@@ -119,6 +124,37 @@ makeResult(int seed)
     return r;
 }
 
+/**
+ * A structurally valid live-point value (codec v3 framing and digest)
+ * with one opaque section whose payload depends on @p seed.
+ */
+std::string
+makeLivePoint(int seed)
+{
+    ByteWriter body;
+    body.u32(1); // n_sections
+    body.u32(7); // section tag
+    body.str(std::string(20 + seed, static_cast<char>('a' + seed % 26)));
+    std::string sections = body.take();
+    ByteWriter w;
+    w.u32(kLivePointVersion);
+    w.u64(fnv1a64(sections.data(), sections.size()));
+    return w.take() + sections;
+}
+
+/** Bit-at-a-time IEEE CRC-32: the definition, with no tables. */
+std::uint32_t
+bytewiseCrc32(const unsigned char *p, std::size_t size)
+{
+    std::uint32_t c = 0xffffffffu;
+    for (std::size_t i = 0; i < size; ++i) {
+        c ^= p[i];
+        for (int k = 0; k < 8; ++k)
+            c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+    }
+    return c ^ 0xffffffffu;
+}
+
 } // namespace
 
 // ---------------------------------------------------------------------
@@ -133,6 +169,25 @@ TEST(Crc32, MatchesKnownVectors)
     EXPECT_EQ(crc32("a", 1), 0xe8b7be43u);
     // Single-bit sensitivity.
     EXPECT_NE(crc32("1234567890", 10), crc32("1234567891", 10));
+}
+
+TEST(Crc32, SlicedMatchesBytewiseReference)
+{
+    // Every length through two full slicing rounds plus every tail
+    // length, at every start alignment of the 8-byte loads.
+    std::vector<unsigned char> buf(257 + 8);
+    std::uint32_t x = 0x12345678u;
+    for (unsigned char &b : buf) {
+        x = x * 1664525u + 1013904223u;
+        b = static_cast<unsigned char>(x >> 24);
+    }
+    for (std::size_t align = 0; align < 8; ++align) {
+        for (std::size_t len = 0; len <= 257; ++len) {
+            ASSERT_EQ(crc32(buf.data() + align, len),
+                      bytewiseCrc32(buf.data() + align, len))
+                << "align " << align << " len " << len;
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -527,6 +582,229 @@ TEST(ExperimentStore, EnospcDuringCompactionAbortsAndKeepsOriginal)
     ExperimentStore reopened(dir);
     EXPECT_EQ(reopened.stats().records, 2u);
     EXPECT_EQ(reopened.stats().truncatedBytes, 0u);
+}
+
+TEST(ExperimentStore, SinglePassOpenMatchesRescan)
+{
+    QuietLog quiet;
+    std::string dir = freshDir("single_pass");
+    std::string log_path = dir + "/experiments.log";
+    std::map<std::string, std::string> results;     // key → encoded
+    std::map<std::string, std::string> live_points; // key → value
+    {
+        ExperimentStore store(dir);
+        for (int i = 0; i < 4; ++i) {
+            std::string key = "{\"result\": " + std::to_string(i) + "}";
+            store.put(key, makeResult(i));
+            store.put(key, makeResult(i + 10)); // supersedes
+            results[key] = encodeExperimentResult(makeResult(i + 10));
+        }
+        for (int i = 0; i < 3; ++i) {
+            std::string key = "{\"live\": " + std::to_string(i) + "}";
+            store.putBytes(key, makeLivePoint(i));
+            store.putBytes(key, makeLivePoint(i + 5)); // supersedes
+            live_points[key] = makeLivePoint(i + 5);
+        }
+        // Kinds supersede each other too: a result over a live point
+        // and a live point over a result.
+        store.putBytes("{\"result\": 0}", makeLivePoint(9));
+        live_points["{\"result\": 0}"] = makeLivePoint(9);
+        results.erase("{\"result\": 0}");
+        store.put("{\"live\": 0}", makeResult(20));
+        results["{\"live\": 0}"] = encodeExperimentResult(makeResult(20));
+        live_points.erase("{\"live\": 0}");
+        store.sync();
+    }
+    // A torn tail: the first bytes of a record that never finished.
+    const std::string torn("\x40\x00\x00\x00\x12\x34", 6);
+    {
+        std::ofstream f(log_path, std::ios::binary | std::ios::app);
+        f.write(torn.data(), static_cast<std::streamsize>(torn.size()));
+    }
+
+    // The reference: a separate rescan of the same bytes, indexing
+    // the last record per digest the way a second pass would.
+    std::string victim = dir + "/test.log";
+    writeFileBytes(victim, readFile(log_path));
+    std::map<std::string, std::pair<bool, std::uint64_t>> expected;
+    std::uint64_t expected_truncated;
+    {
+        RecordLog log(victim);
+        expected_truncated = log.stats().truncatedBytes;
+        log.scan([&](std::int64_t, const std::string &k,
+                     const std::string &v) {
+            expected[contentDigest(k)] = {valueIsLivePoint(v), v.size()};
+        });
+    }
+    std::uint64_t expected_lp = 0, expected_lp_bytes = 0;
+    for (const auto &[digest, kind] : expected) {
+        if (kind.first) {
+            ++expected_lp;
+            expected_lp_bytes += kind.second;
+        }
+    }
+    EXPECT_EQ(expected_truncated, torn.size());
+
+    ExperimentStore store(dir);
+    ExperimentStoreStats open = store.stats();
+    EXPECT_EQ(open.records, expected.size());
+    EXPECT_EQ(open.records, results.size() + live_points.size());
+    EXPECT_EQ(open.livePointRecords, expected_lp);
+    EXPECT_EQ(open.livePointRecords, live_points.size());
+    EXPECT_EQ(open.livePointBytes, expected_lp_bytes);
+    EXPECT_EQ(open.truncatedBytes, expected_truncated);
+
+    // compact() reopens through the same single pass over a log with
+    // no superseded records and no tail.
+    EXPECT_EQ(store.compact(), open.logRecords - open.records);
+    ExperimentStoreStats after = store.stats();
+    EXPECT_EQ(after.records, open.records);
+    EXPECT_EQ(after.logRecords, open.records);
+    EXPECT_EQ(after.livePointRecords, open.livePointRecords);
+    EXPECT_EQ(after.livePointBytes, open.livePointBytes);
+    EXPECT_EQ(after.truncatedBytes, 0u);
+
+    for (const auto &[key, encoded] : results) {
+        ExperimentResult out;
+        ASSERT_TRUE(store.get(key, out)) << key;
+        EXPECT_EQ(encodeExperimentResult(out), encoded) << key;
+    }
+    for (const auto &[key, value] : live_points) {
+        std::string out;
+        ASSERT_TRUE(store.getBytes(key, out)) << key;
+        EXPECT_EQ(out, value) << key;
+    }
+    EXPECT_EQ(store.stats().misses, 0u);
+}
+
+TEST(ExperimentStore, ConcurrentReadersWithWriterAndCompaction)
+{
+    QuietLog quiet;
+    std::string dir = freshDir("concurrent");
+    constexpr int kResults = 6, kLivePoints = 3, kFlips = 2;
+    constexpr int kRounds = 24;
+    auto result_key = [](int i) {
+        return "{\"result\": " + std::to_string(i) + "}";
+    };
+    auto live_key = [](int i) {
+        return "{\"live\": " + std::to_string(i) + "}";
+    };
+    auto flip_key = [](int i) {
+        return "{\"flip\": " + std::to_string(i) + "}";
+    };
+    // Version v of each key; the writer only ever writes these, so a
+    // hit must be bit-identical to one of them.
+    auto result_value = [](int i, int v) {
+        return makeResult(i + 100 * v);
+    };
+    auto live_value = [](int i, int v) {
+        return makeLivePoint(i + 3 * v);
+    };
+    std::map<std::string, std::set<std::string>> allowed;
+    for (int v = 0; v <= kRounds; ++v) {
+        for (int i = 0; i < kResults; ++i)
+            allowed[result_key(i)].insert(
+                encodeExperimentResult(result_value(i, v)));
+        for (int i = 0; i < kLivePoints; ++i)
+            allowed[live_key(i)].insert(live_value(i, v));
+        for (int i = 0; i < kFlips; ++i)
+            allowed[flip_key(i)].insert(
+                encodeExperimentResult(result_value(50 + i, v)));
+    }
+
+    ExperimentStore store(dir);
+    for (int i = 0; i < kResults; ++i)
+        store.put(result_key(i), result_value(i, 0));
+    for (int i = 0; i < kLivePoints; ++i)
+        store.putBytes(live_key(i), live_value(i, 0));
+    for (int i = 0; i < kFlips; ++i)
+        store.put(flip_key(i), result_value(50 + i, 0));
+
+    std::atomic<bool> writing{true};
+    std::atomic<std::uint64_t> calls{0}, misses{0}, flip_misses{0};
+    std::atomic<std::uint64_t> wrong{0};
+    auto reader = [&](int id) {
+        for (int n = 0; writing.load() || n < 20; ++n) {
+            int i = (n + id) % (kResults + kLivePoints + kFlips);
+            bool hit;
+            std::string got, key;
+            if (i < kResults) {
+                key = result_key(i);
+            } else if (i < kResults + kLivePoints) {
+                key = live_key(i - kResults);
+            } else {
+                key = flip_key(i - kResults - kLivePoints);
+            }
+            if (i >= kResults && i < kResults + kLivePoints) {
+                hit = store.getBytes(key, got);
+            } else {
+                ExperimentResult out;
+                hit = store.get(key, out);
+                if (hit)
+                    got = encodeExperimentResult(out);
+            }
+            ++calls;
+            if (!hit) {
+                // Only a flip key can miss: its record may be a live
+                // point, which get() must refuse, or an entry such a
+                // refusal dropped before the writer's next put().
+                ++misses;
+                if (i >= kResults + kLivePoints)
+                    ++flip_misses;
+            } else if (!allowed.at(key).count(got)) {
+                ++wrong;
+            }
+        }
+    };
+    std::vector<std::thread> readers;
+    for (int id = 0; id < 4; ++id)
+        readers.emplace_back(reader, id);
+
+    std::thread writer([&] {
+        for (int v = 1; v <= kRounds; ++v) {
+            for (int i = 0; i < kResults; ++i)
+                store.put(result_key(i), result_value(i, v));
+            for (int i = 0; i < kLivePoints; ++i)
+                store.putBytes(live_key(i), live_value(i, v));
+            for (int i = 0; i < kFlips; ++i) {
+                store.putBytes(flip_key(i), live_value(i, v));
+                std::this_thread::yield();
+                store.put(flip_key(i), result_value(50 + i, v));
+            }
+            if (v % 6 == 0)
+                store.compact();
+        }
+        writing = false;
+    });
+    writer.join();
+    for (std::thread &t : readers)
+        t.join();
+
+    EXPECT_EQ(wrong.load(), 0u);
+    EXPECT_EQ(misses.load(), flip_misses.load());
+    ExperimentStoreStats s = store.stats();
+    EXPECT_EQ(s.hits + s.misses, calls.load());
+    EXPECT_EQ(s.misses, misses.load());
+    EXPECT_FALSE(s.degraded);
+
+    // The writer's last versions are what every key now holds.
+    for (int i = 0; i < kResults; ++i) {
+        ExperimentResult out;
+        ASSERT_TRUE(store.get(result_key(i), out));
+        EXPECT_EQ(encodeExperimentResult(out),
+                  encodeExperimentResult(result_value(i, kRounds)));
+    }
+    for (int i = 0; i < kLivePoints; ++i) {
+        std::string out;
+        ASSERT_TRUE(store.getBytes(live_key(i), out));
+        EXPECT_EQ(out, live_value(i, kRounds));
+    }
+    for (int i = 0; i < kFlips; ++i) {
+        ExperimentResult out;
+        ASSERT_TRUE(store.get(flip_key(i), out));
+        EXPECT_EQ(encodeExperimentResult(out),
+                  encodeExperimentResult(result_value(50 + i, kRounds)));
+    }
 }
 
 // ---------------------------------------------------------------------
