@@ -551,38 +551,59 @@ writeServiceBenchJson()
     lg.durationMs = 1200;
     lg.warmupMs = 150;
 
-    // Interleaved best-of-3 per mode: on a 1-core box a background
-    // blip can swing a single 1.2 s run by more than the keep-alive
-    // margin itself, so compare each mode's best trial instead.
-    LoadGenReport keep;
-    LoadGenReport one_shot;
-    for (int trial = 0; trial < 3; ++trial) {
-        lg.keepAlive = true;
-        LoadGenReport k = runLoadGen(lg);
-        if (trial == 0 || k.rps > keep.rps)
-            keep = k;
-        lg.keepAlive = false;
-        LoadGenReport c = runLoadGen(lg);
-        if (trial == 0 || c.rps > one_shot.rps)
-            one_shot = c;
+    // Five interleaved runs per mode, compared by median: a background
+    // blip on a shared box can swing one 1.2 s run by more than the
+    // keep-alive margin, but not the middle of five. Latency figures
+    // pool each mode's runs.
+    constexpr int kServiceRuns = 5;
+    std::vector<double> keep_runs;
+    std::vector<double> close_runs;
+    LatencyHistogram keep_latency;
+    LatencyHistogram close_latency;
+    std::uint64_t keep_reuses = 0;
+    std::uint64_t failures = 0;
+    bool identical = true;
+    for (int run = 0; run < kServiceRuns; ++run) {
+        for (bool keep_alive : {true, false}) {
+            lg.keepAlive = keep_alive;
+            LoadGenReport r = runLoadGen(lg);
+            failures += r.errors + r.non2xx();
+            if (keep_alive) {
+                keep_runs.push_back(r.rps);
+                keep_latency.merge(r.latency);
+                keep_reuses += r.keepAliveReuses;
+                identical = identical && r.sampleBody == reference;
+            } else {
+                close_runs.push_back(r.rps);
+                close_latency.merge(r.latency);
+            }
+        }
     }
     svc.stop();
+    double keep_rps = median(keep_runs);
+    double close_rps = median(close_runs);
 
-    bool identical = keep.sampleBody == reference;
-    std::uint64_t failures = keep.errors + keep.non2xx() +
-                             one_shot.errors + one_shot.non2xx();
+    auto runList = [](const std::vector<double> &runs) {
+        std::string out;
+        for (double v : runs)
+            out += strfmt("%s%.0f", out.empty() ? "" : ", ", v);
+        return "[" + out + "]";
+    };
     std::string json = strfmt(
         "{\n"
         "  \"benchmark\": \"service_loop\",\n"
         "  \"endpoint\": \"/study\",\n"
         "  \"connections\": %d,\n"
         "  \"workers\": %d,\n"
+        "  \"runs\": %d,\n"
         "  \"keepalive_rps\": %.0f,\n"
+        "  \"keepalive_rps_runs\": %s,\n"
         "  \"keepalive_p50_us\": %llu,\n"
         "  \"keepalive_p95_us\": %llu,\n"
         "  \"keepalive_p99_us\": %llu,\n"
         "  \"keepalive_reuses\": %llu,\n"
         "  \"close_rps\": %.0f,\n"
+        "  \"close_rps_runs\": %s,\n"
         "  \"close_p50_us\": %llu,\n"
         "  \"close_p95_us\": %llu,\n"
         "  \"close_p99_us\": %llu,\n"
@@ -590,19 +611,17 @@ writeServiceBenchJson()
         "  \"errors\": %llu,\n"
         "  \"sample_bytes_identical\": %s\n"
         "}\n",
-        lg.connections, cfg.workers, keep.rps,
-        static_cast<unsigned long long>(keep.latency.percentileUs(50)),
-        static_cast<unsigned long long>(keep.latency.percentileUs(95)),
-        static_cast<unsigned long long>(keep.latency.percentileUs(99)),
-        static_cast<unsigned long long>(keep.keepAliveReuses),
-        one_shot.rps,
-        static_cast<unsigned long long>(
-            one_shot.latency.percentileUs(50)),
-        static_cast<unsigned long long>(
-            one_shot.latency.percentileUs(95)),
-        static_cast<unsigned long long>(
-            one_shot.latency.percentileUs(99)),
-        one_shot.rps > 0.0 ? keep.rps / one_shot.rps : 0.0,
+        lg.connections, cfg.workers, kServiceRuns, keep_rps,
+        runList(keep_runs).c_str(),
+        static_cast<unsigned long long>(keep_latency.percentileUs(50)),
+        static_cast<unsigned long long>(keep_latency.percentileUs(95)),
+        static_cast<unsigned long long>(keep_latency.percentileUs(99)),
+        static_cast<unsigned long long>(keep_reuses), close_rps,
+        runList(close_runs).c_str(),
+        static_cast<unsigned long long>(close_latency.percentileUs(50)),
+        static_cast<unsigned long long>(close_latency.percentileUs(95)),
+        static_cast<unsigned long long>(close_latency.percentileUs(99)),
+        close_rps > 0.0 ? keep_rps / close_rps : 0.0,
         static_cast<unsigned long long>(failures),
         identical ? "true" : "false");
 
@@ -610,10 +629,10 @@ writeServiceBenchJson()
     f << json;
     std::printf("%s", json.c_str());
     std::printf("service loop: %.0f rps keep-alive, %.0f rps "
-                "reconnect-per-request (%.2fx)%s\n",
-                keep.rps, one_shot.rps,
-                one_shot.rps > 0.0 ? keep.rps / one_shot.rps : 0.0,
-                keep.rps > one_shot.rps
+                "reconnect-per-request, medians of %d (%.2fx)%s\n",
+                keep_rps, close_rps, kServiceRuns,
+                close_rps > 0.0 ? keep_rps / close_rps : 0.0,
+                keep_rps > close_rps
                     ? ""
                     : "  MISS: keep-alive not faster than close");
     if (failures != 0)

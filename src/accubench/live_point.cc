@@ -174,13 +174,6 @@ void
 captureLivePoint(LivePointCache &cache, const std::string &key,
                  const LivePointState &s)
 {
-    if (s.sim.events().pending() != 0) {
-        // The experiment schedules no events today; refuse to capture
-        // rather than silently drop a pending one.
-        warn("live point: pending events at the capture point; "
-             "not capturing");
-        return;
-    }
     cache.store(key, encodeLivePoint(s));
 }
 

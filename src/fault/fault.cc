@@ -16,13 +16,12 @@ struct SiteName
     const char *name;
 };
 
-constexpr SiteName kSiteNames[kFaultSiteCount] = {
+constexpr SiteName kSiteNames[] = {
     {FaultSite::StoreAppend, "store.append"},
     {FaultSite::StoreFsync, "store.fsync"},
     {FaultSite::SensorRead, "sensor.read"},
     {FaultSite::ThermaboxRegulate, "thermabox.regulate"},
     {FaultSite::ExperimentRun, "experiment.run"},
-    {FaultSite::HttpAccept, "http.accept"},
     {FaultSite::NetAccept, "net.accept"},
     {FaultSite::NetRead, "net.read"},
     {FaultSite::NetWrite, "net.write"},
@@ -162,7 +161,10 @@ check(const FaultPlan &plan, FaultSite site)
 const char *
 faultSiteName(FaultSite site)
 {
-    return kSiteNames[static_cast<std::size_t>(site)].name;
+    for (const SiteName &s : kSiteNames)
+        if (s.site == site)
+            return s.name;
+    return "?";
 }
 
 bool

@@ -50,13 +50,14 @@ enum class FaultSite : std::uint8_t
     SensorRead,        ///< "sensor.read": sensor repeats a stale value
     ThermaboxRegulate, ///< "thermabox.regulate": controller outage
     ExperimentRun,     ///< "experiment.run": the whole run errors out
-    HttpAccept,        ///< "http.accept": accepted connection dropped
-    NetAccept,         ///< "net.accept": accept(2) errno injection
+    // Numbers seed the fault hash: 5 (retired) stays a gap for replay.
+    NetAccept = 6,     ///< "net.accept": accept(2) errno injection
     NetRead,           ///< "net.read": recv(2) short reads / resets
     NetWrite,          ///< "net.write": send(2) short writes / EPIPE
     StoreWrite,        ///< "store.write": write(2) ENOSPC / torn write
 };
 
+/** One past the largest site number: sizes per-site counter arrays. */
 constexpr std::size_t kFaultSiteCount = 10;
 
 /** Canonical site name ("store.append", ...). */

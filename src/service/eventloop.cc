@@ -3,77 +3,58 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
-#ifdef __linux__
-#include <sys/epoll.h>
-#endif
-
 #include "fault/sysfault.hh"
 #include "sim/logging.hh"
-#include "sim/strfmt.hh"
 
 namespace pvar
 {
+
+namespace
+{
+
+/** Pipelined requests admitted per connection before the loop stops
+ *  reading from it (TCP backpressure does the rest). */
+constexpr std::size_t kMaxPipeline = 16;
+
+/** Grace period for flushing in-flight responses at stop, in ms. */
+constexpr std::uint64_t kDrainGraceMs = 10000;
+
+/** epoll_ctl ADD/MOD with the loop's interest mask; fatal on error. */
+void
+epollControl(int epfd, int op, int fd, bool read, bool write)
+{
+    epoll_event ev{};
+    ev.events = EPOLLRDHUP;
+    if (read)
+        ev.events |= EPOLLIN;
+    if (write)
+        ev.events |= EPOLLOUT;
+    ev.data.fd = fd;
+    if (::epoll_ctl(epfd, op, fd, &ev) < 0)
+        fatal("epoll_ctl: %s", std::strerror(errno));
+}
+
+} // namespace
 
 // ---------------------------------------------------------------------
 // Poller.
 // ---------------------------------------------------------------------
 
-PollerBackend
-defaultPollerBackend()
+Poller::Poller()
 {
-#ifdef __linux__
-    const char *env = std::getenv("PVAR_POLLER");
-    if (env && std::string(env) == "poll")
-        return PollerBackend::Poll;
-    return PollerBackend::Epoll;
-#else
-    return PollerBackend::Poll;
-#endif
-}
-
-const char *
-pollerBackendName(PollerBackend backend)
-{
-    return backend == PollerBackend::Epoll ? "epoll" : "poll";
-}
-
-bool
-parsePollerBackend(const std::string &text, PollerBackend &out)
-{
-    if (text == "epoll") {
-        out = PollerBackend::Epoll;
-        return true;
-    }
-    if (text == "poll") {
-        out = PollerBackend::Poll;
-        return true;
-    }
-    return false;
-}
-
-Poller::Poller(PollerBackend backend) : _backend(backend)
-{
-#ifdef __linux__
-    if (_backend == PollerBackend::Epoll) {
-        _epfd = ::epoll_create1(0);
-        if (_epfd < 0)
-            fatal("epoll_create1: %s", std::strerror(errno));
-        return;
-    }
-#else
-    _backend = PollerBackend::Poll;
-#endif
+    _epfd = ::epoll_create1(0);
+    if (_epfd < 0)
+        fatal("epoll_create1: %s", std::strerror(errno));
 }
 
 Poller::~Poller()
@@ -82,130 +63,46 @@ Poller::~Poller()
         ::close(_epfd);
 }
 
-#ifdef __linux__
-namespace
-{
-
-std::uint32_t
-epollMask(bool read, bool write)
-{
-    std::uint32_t mask = EPOLLRDHUP;
-    if (read)
-        mask |= EPOLLIN;
-    if (write)
-        mask |= EPOLLOUT;
-    return mask;
-}
-
-} // namespace
-#endif
-
 void
 Poller::add(int fd, bool read, bool write)
 {
-#ifdef __linux__
-    if (_backend == PollerBackend::Epoll) {
-        epoll_event ev{};
-        ev.events = epollMask(read, write);
-        ev.data.fd = fd;
-        if (::epoll_ctl(_epfd, EPOLL_CTL_ADD, fd, &ev) < 0)
-            fatal("epoll_ctl add: %s", std::strerror(errno));
-        return;
-    }
-#endif
-    pollfd pfd{};
-    pfd.fd = fd;
-    pfd.events = static_cast<short>((read ? POLLIN : 0) |
-                                    (write ? POLLOUT : 0));
-    _index[fd] = _fds.size();
-    _fds.push_back(pfd);
+    epollControl(_epfd, EPOLL_CTL_ADD, fd, read, write);
 }
 
 void
 Poller::modify(int fd, bool read, bool write)
 {
-#ifdef __linux__
-    if (_backend == PollerBackend::Epoll) {
-        epoll_event ev{};
-        ev.events = epollMask(read, write);
-        ev.data.fd = fd;
-        if (::epoll_ctl(_epfd, EPOLL_CTL_MOD, fd, &ev) < 0)
-            fatal("epoll_ctl mod: %s", std::strerror(errno));
-        return;
-    }
-#endif
-    auto it = _index.find(fd);
-    if (it == _index.end())
-        return;
-    _fds[it->second].events = static_cast<short>(
-        (read ? POLLIN : 0) | (write ? POLLOUT : 0));
+    epollControl(_epfd, EPOLL_CTL_MOD, fd, read, write);
 }
 
 void
 Poller::remove(int fd)
 {
-#ifdef __linux__
-    if (_backend == PollerBackend::Epoll) {
-        ::epoll_ctl(_epfd, EPOLL_CTL_DEL, fd, nullptr);
-        return;
-    }
-#endif
-    auto it = _index.find(fd);
-    if (it == _index.end())
-        return;
-    std::size_t pos = it->second;
-    _index.erase(it);
-    if (pos + 1 != _fds.size()) {
-        _fds[pos] = _fds.back();
-        _index[_fds[pos].fd] = pos;
-    }
-    _fds.pop_back();
+    ::epoll_ctl(_epfd, EPOLL_CTL_DEL, fd, nullptr);
 }
 
 int
 Poller::wait(std::vector<Event> &events, int timeout_ms)
 {
     events.clear();
-#ifdef __linux__
-    if (_backend == PollerBackend::Epoll) {
-        epoll_event ready[64];
-        // EINTR counts as "nothing ready": retrying with the full
-        // original timeout would starve timer expiry under a signal
-        // storm, and the caller's loop re-polls immediately anyway.
-        int n = ::epoll_wait(_epfd, ready, 64, timeout_ms);
-        if (n < 0 && errno == EINTR)
-            return 0;
-        if (n < 0)
-            fatal("epoll_wait: %s", std::strerror(errno));
-        for (int i = 0; i < n; ++i) {
-            Event ev{};
-            ev.fd = ready[i].data.fd;
-            ev.readable =
-                (ready[i].events & (EPOLLIN | EPOLLRDHUP)) != 0;
-            ev.writable = (ready[i].events & EPOLLOUT) != 0;
-            ev.broken = (ready[i].events & (EPOLLERR | EPOLLHUP)) != 0;
-            events.push_back(ev);
-        }
-        return n;
-    }
-#endif
-    int n = ::poll(_fds.data(), _fds.size(), timeout_ms);
+    epoll_event ready[64];
+    // EINTR counts as "nothing ready": retrying with the full original
+    // timeout would starve timer expiry under a signal storm, and the
+    // caller's loop re-polls immediately anyway.
+    int n = ::epoll_wait(_epfd, ready, 64, timeout_ms);
     if (n < 0 && errno == EINTR)
-        return 0; // same contract as the epoll path above
+        return 0;
     if (n < 0)
-        fatal("poll: %s", std::strerror(errno));
-    for (const pollfd &pfd : _fds) {
-        if (pfd.revents == 0)
-            continue;
+        fatal("epoll_wait: %s", std::strerror(errno));
+    for (int i = 0; i < n; ++i) {
         Event ev{};
-        ev.fd = pfd.fd;
-        ev.readable = (pfd.revents & POLLIN) != 0;
-        ev.writable = (pfd.revents & POLLOUT) != 0;
-        ev.broken =
-            (pfd.revents & (POLLERR | POLLHUP | POLLNVAL)) != 0;
+        ev.fd = ready[i].data.fd;
+        ev.readable = (ready[i].events & (EPOLLIN | EPOLLRDHUP)) != 0;
+        ev.writable = (ready[i].events & EPOLLOUT) != 0;
+        ev.broken = (ready[i].events & (EPOLLERR | EPOLLHUP)) != 0;
         events.push_back(ev);
     }
-    return static_cast<int>(events.size());
+    return n;
 }
 
 // ---------------------------------------------------------------------
@@ -324,9 +221,6 @@ struct HttpServerLoop::Conn
 
     std::string out;          ///< serialized bytes awaiting send
     std::size_t outOff = 0;
-    std::string body;         ///< chunk-streamed body in progress
-    std::size_t bodyOff = 0;
-    bool streaming = false;
 
     bool closeAfterFlush = false;
     bool peerClosed = false;
@@ -336,7 +230,6 @@ struct HttpServerLoop::Conn
     std::uint64_t lastActivityMs = 0;
 
     bool outPending() const { return outOff < out.size(); }
-    bool flushed() const { return !outPending() && !streaming; }
 
     bool waitingOnWorker() const
     {
@@ -348,11 +241,9 @@ struct HttpServerLoop::Conn
 };
 
 HttpServerLoop::HttpServerLoop(HttpLoopConfig cfg, Handler handler,
-                               ErrorResponder error_responder,
-                               AcceptGate accept_gate)
+                               ErrorResponder error_responder)
     : _cfg(std::move(cfg)), _handler(std::move(handler)),
-      _error(std::move(error_responder)),
-      _acceptGate(std::move(accept_gate))
+      _error(std::move(error_responder))
 {
 }
 
@@ -473,7 +364,6 @@ HttpServerLoop::stats() const
     s.fdExhaustedSheds = _fdExhaustedSheds.load();
     s.bytesIn = _bytesIn.load();
     s.bytesOut = _bytesOut.load();
-    s.chunkedResponses = _chunkedResponses.load();
     s.parseErrors = _parseErrors.load();
     return s;
 }
@@ -482,7 +372,7 @@ void
 HttpServerLoop::run()
 {
     setLogThreadTag("loop");
-    _poller = std::make_unique<Poller>(_cfg.backend);
+    _poller = std::make_unique<Poller>();
     _wheel = std::make_unique<TimerWheel>(
         256, std::max(1, _cfg.idleTimeoutMs / 16), nowMs());
     _poller->add(_listenFd, true, false);
@@ -503,15 +393,14 @@ HttpServerLoop::run()
                 _poller->remove(_listenFd);
                 std::vector<std::uint64_t> idle;
                 for (const auto &[id, conn] : _conns)
-                    if (conn->slots.empty() && conn->flushed())
+                    if (conn->slots.empty() && !conn->outPending())
                         idle.push_back(id);
                 for (std::uint64_t id : idle)
                     closeConn(id, false);
             }
             if (_conns.empty())
                 break;
-            if (nowMs() - stop_seen_ms >
-                static_cast<std::uint64_t>(_cfg.drainGraceMs)) {
+            if (nowMs() - stop_seen_ms > kDrainGraceMs) {
                 warn("event loop: drain grace expired with %zu "
                      "connections; forcing close",
                      _conns.size());
@@ -585,7 +474,7 @@ HttpServerLoop::sendOverload503(int fd)
     HttpResponse resp = _error(503, "too many connections");
     resp.headers.emplace_back("Retry-After", "1");
     std::string bytes =
-        serializeHttpResponseHead(resp, false, false) + resp.body;
+        serializeHttpResponseHead(resp, false) + resp.body;
     ssize_t n;
     do {
         n = ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL);
@@ -646,10 +535,6 @@ HttpServerLoop::acceptReady()
             }
             warn("event loop: accept: %s", std::strerror(errno));
             return;
-        }
-        if (_acceptGate && !_acceptGate()) {
-            ::close(fd);
-            continue;
         }
         if (static_cast<int>(_conns.size()) >= _cfg.maxConns) {
             // Overload: answer 503 on the fresh socket and shed it.
@@ -728,7 +613,7 @@ HttpServerLoop::connReadable(Conn &conn)
     auto it = _conns.find(conn.id);
     if (it == _conns.end())
         return; // dispatch closed it
-    if (conn.peerClosed && conn.slots.empty() && conn.flushed()) {
+    if (conn.peerClosed && conn.slots.empty() && !conn.outPending()) {
         closeConn(conn.id, false);
         return;
     }
@@ -744,7 +629,7 @@ HttpServerLoop::connWritable(Conn &conn)
 void
 HttpServerLoop::parseAndDispatch(Conn &conn)
 {
-    while (!conn.readOff && conn.slots.size() < _cfg.maxPipeline) {
+    while (!conn.readOff && conn.slots.size() < kMaxPipeline) {
         HttpRequest req;
         HttpParser::Result res = conn.parser.next(req);
         if (res == HttpParser::Result::NeedMore)
@@ -802,43 +687,11 @@ HttpServerLoop::startResponse(Conn &conn, Slot &slot)
     bool close_after =
         slot.closeAfter ||
         _stopRequested.load(std::memory_order_relaxed);
-    bool chunked = slot.resp.body.size() > _cfg.streamThresholdBytes;
-    conn.out += serializeHttpResponseHead(slot.resp, !close_after,
-                                          chunked);
-    if (chunked) {
-        ++_chunkedResponses;
-        conn.body = std::move(slot.resp.body);
-        conn.bodyOff = 0;
-        conn.streaming = true;
-    } else {
-        conn.out += slot.resp.body;
-    }
+    conn.out += serializeHttpResponseHead(slot.resp, !close_after);
+    conn.out += slot.resp.body;
     if (close_after) {
         conn.closeAfterFlush = true;
         conn.readOff = true;
-    }
-}
-
-void
-HttpServerLoop::pumpStream(Conn &conn)
-{
-    // Keep at most ~2 chunk frames buffered: the rest of the body
-    // stays un-framed until the socket actually drains.
-    while (conn.streaming &&
-           conn.out.size() - conn.outOff < 2 * _cfg.chunkBytes) {
-        if (conn.bodyOff < conn.body.size()) {
-            std::size_t n = std::min(_cfg.chunkBytes,
-                                     conn.body.size() - conn.bodyOff);
-            conn.out += strfmt("%zx\r\n", n);
-            conn.out.append(conn.body, conn.bodyOff, n);
-            conn.out += "\r\n";
-            conn.bodyOff += n;
-        } else {
-            conn.out += "0\r\n\r\n";
-            conn.streaming = false;
-            conn.body.clear();
-            conn.bodyOff = 0;
-        }
     }
 }
 
@@ -849,10 +702,7 @@ HttpServerLoop::flushWrites(Conn &conn)
         if (!conn.outPending()) {
             conn.out.clear();
             conn.outOff = 0;
-            if (conn.streaming) {
-                pumpStream(conn);
-            } else if (!conn.slots.empty() &&
-                       conn.slots.front().ready) {
+            if (!conn.slots.empty() && conn.slots.front().ready) {
                 Slot slot = std::move(conn.slots.front());
                 conn.slots.pop_front();
                 startResponse(conn, slot);
@@ -877,7 +727,7 @@ HttpServerLoop::flushWrites(Conn &conn)
         touch(conn, nowMs());
     }
 
-    bool flushed = conn.flushed() && conn.slots.empty();
+    bool flushed = !conn.outPending() && conn.slots.empty();
     if (flushed &&
         (conn.closeAfterFlush || conn.peerClosed ||
          _stopRequested.load(std::memory_order_relaxed))) {
@@ -891,7 +741,7 @@ void
 HttpServerLoop::updateInterest(Conn &conn)
 {
     bool rd = !conn.readOff && !conn.peerClosed &&
-              conn.slots.size() < _cfg.maxPipeline;
+              conn.slots.size() < kMaxPipeline;
     bool wr = conn.outPending();
     if (rd != conn.wantRead || wr != conn.wantWrite) {
         conn.wantRead = rd;
@@ -920,8 +770,7 @@ HttpServerLoop::closeConn(std::uint64_t conn_id, bool aborted)
     if (aborted) {
         // Count responses that were ready (or mid-write) but never
         // fully delivered. Unready ones count at complete() time.
-        std::uint64_t lost =
-            conn.outPending() || conn.streaming ? 1 : 0;
+        std::uint64_t lost = conn.outPending() ? 1 : 0;
         for (const Slot &s : conn.slots)
             if (s.ready)
                 ++lost;
@@ -1000,12 +849,6 @@ HttpServerLoop::expireTimers(std::uint64_t now_ms)
         ++_timeoutsFired;
         closeConn(id, false);
     }
-}
-
-bool
-HttpServerLoop::drained() const
-{
-    return _conns.empty();
 }
 
 } // namespace pvar

@@ -5,9 +5,7 @@
  *
  * Three pieces, each independently testable:
  *
- *  - Poller: a thin readiness-notification shim. epoll on Linux, with
- *    a poll(2) fallback selected at runtime (PVAR_POLLER=poll or by
- *    config) so the portable path stays exercised on the same box.
+ *  - Poller: a thin readiness-notification shim over epoll.
  *
  *  - TimerWheel: a hashed timer wheel with lazy cancellation. Idle
  *    and slow-loris deadlines are O(1) to (re)arm — which happens on
@@ -17,10 +15,10 @@
  *  - HttpServerLoop: the loop itself. One thread owns the listen
  *    socket and all connections; accept/read/write are non-blocking;
  *    each connection runs an incremental HttpParser (keep-alive and
- *    pipelined requests fall out naturally); responses larger than a
- *    threshold stream out as chunked transfer-encoding so a
- *    multi-megabyte crowd report never occupies one contiguous send
- *    buffer; and per-connection idle deadlines ride the timer wheel.
+ *    pipelined requests fall out naturally); every response goes out
+ *    with a Content-Length head followed by its body, resumed across
+ *    short writes; and per-connection idle deadlines ride the timer
+ *    wheel.
  *
  * Division of labor with the service: the loop parses requests and
  * moves bytes; it knows nothing about studies. For every parsed
@@ -48,27 +46,12 @@
 #include <unordered_map>
 #include <vector>
 
-#include <poll.h>
-
 #include "service/http.hh"
 
 namespace pvar
 {
 
-/** Readiness backend; Epoll silently degrades to Poll off Linux. */
-enum class PollerBackend
-{
-    Epoll,
-    Poll,
-};
-
-/** Epoll on Linux unless PVAR_POLLER=poll asks for the fallback. */
-PollerBackend defaultPollerBackend();
-
-const char *pollerBackendName(PollerBackend backend);
-bool parsePollerBackend(const std::string &text, PollerBackend &out);
-
-/** Readiness notification over a set of fds. */
+/** Readiness notification over a set of fds (epoll). */
 class Poller
 {
   public:
@@ -81,13 +64,11 @@ class Poller
         bool broken;
     };
 
-    explicit Poller(PollerBackend backend = defaultPollerBackend());
+    Poller();
     ~Poller();
 
     Poller(const Poller &) = delete;
     Poller &operator=(const Poller &) = delete;
-
-    PollerBackend backend() const { return _backend; }
 
     void add(int fd, bool read, bool write);
     void modify(int fd, bool read, bool write);
@@ -100,11 +81,7 @@ class Poller
     int wait(std::vector<Event> &events, int timeout_ms);
 
   private:
-    PollerBackend _backend;
     int _epfd = -1;
-    /** Poll fallback: the interest set, rebuilt incrementally. */
-    std::vector<struct ::pollfd> _fds;
-    std::unordered_map<int, std::size_t> _index;
 };
 
 /**
@@ -160,21 +137,6 @@ struct HttpLoopConfig
      * with a study in flight are exempt — they are waiting on us.
      */
     int idleTimeoutMs = 5000;
-
-    /** Bodies larger than this stream out chunked. */
-    std::size_t streamThresholdBytes = 64 * 1024;
-
-    /** Chunk frame size for streamed bodies. */
-    std::size_t chunkBytes = 16 * 1024;
-
-    /** Pipelined requests admitted per connection before the loop
-     *  stops reading from it (TCP backpressure does the rest). */
-    std::size_t maxPipeline = 16;
-
-    PollerBackend backend = defaultPollerBackend();
-
-    /** Grace period for flushing in-flight responses at stop. */
-    int drainGraceMs = 10000;
 };
 
 /** Loop counters, readable from any thread (healthz `server`). */
@@ -189,7 +151,6 @@ struct HttpLoopStats
     std::uint64_t fdExhaustedSheds = 0; ///< accepts shed via reserve fd
     std::uint64_t bytesIn = 0;
     std::uint64_t bytesOut = 0;
-    std::uint64_t chunkedResponses = 0;
     std::uint64_t parseErrors = 0;
 };
 
@@ -214,13 +175,8 @@ class HttpServerLoop
     using ErrorResponder =
         std::function<HttpResponse(int status, const std::string &msg)>;
 
-    /** Accept gate: return false to drop a fresh connection
-     *  (fault injection hooks in here). */
-    using AcceptGate = std::function<bool()>;
-
     HttpServerLoop(HttpLoopConfig cfg, Handler handler,
-                   ErrorResponder error_responder,
-                   AcceptGate accept_gate = {});
+                   ErrorResponder error_responder);
     ~HttpServerLoop();
 
     HttpServerLoop(const HttpServerLoop &) = delete;
@@ -256,7 +212,6 @@ class HttpServerLoop
     HttpLoopConfig _cfg;
     Handler _handler;
     ErrorResponder _error;
-    AcceptGate _acceptGate;
 
     int _listenFd = -1;
     int _port = 0;
@@ -300,7 +255,6 @@ class HttpServerLoop
     std::atomic<std::uint64_t> _fdExhaustedSheds{0};
     std::atomic<std::uint64_t> _bytesIn{0};
     std::atomic<std::uint64_t> _bytesOut{0};
-    std::atomic<std::uint64_t> _chunkedResponses{0};
     std::atomic<std::uint64_t> _parseErrors{0};
 
     void run();
@@ -315,14 +269,12 @@ class HttpServerLoop
     void connWritable(Conn &conn);
     void parseAndDispatch(Conn &conn);
     void startResponse(Conn &conn, Slot &slot);
-    void pumpStream(Conn &conn);
     void flushWrites(Conn &conn);
     void updateInterest(Conn &conn);
     void touch(Conn &conn, std::uint64_t now_ms);
     void closeConn(std::uint64_t conn_id, bool aborted);
     void drainCompletions();
     void expireTimers(std::uint64_t now_ms);
-    bool drained() const;
     static std::uint64_t nowMs();
 };
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 
 #include <arpa/inet.h>
@@ -338,16 +337,12 @@ HttpParser::parseHead(std::size_t head_end, HttpRequest &req,
 // ---------------------------------------------------------------------
 
 std::string
-serializeHttpResponseHead(const HttpResponse &resp, bool keep_alive,
-                          bool chunked)
+serializeHttpResponseHead(const HttpResponse &resp, bool keep_alive)
 {
     std::string out = strfmt("HTTP/1.1 %d %s\r\n", resp.status,
                              httpStatusReason(resp.status));
     out += "Content-Type: " + resp.contentType + "\r\n";
-    if (chunked)
-        out += "Transfer-Encoding: chunked\r\n";
-    else
-        out += strfmt("Content-Length: %zu\r\n", resp.body.size());
+    out += strfmt("Content-Length: %zu\r\n", resp.body.size());
     for (const auto &[k, v] : resp.headers)
         out += k + ": " + v + "\r\n";
     out += keep_alive ? "Connection: keep-alive\r\n\r\n"
@@ -547,62 +542,26 @@ HttpClient::readResponse(HttpResponse &resp, std::string &error)
     }
     _buf.erase(0, head_end + 4);
 
-    const std::string &te = resp.header("transfer-encoding");
+    if (!resp.header("transfer-encoding").empty()) {
+        error = "unsupported Transfer-Encoding in response";
+        close();
+        return false;
+    }
     const std::string &cl = resp.header("content-length");
-    if (toLower(te) == "chunked") {
-        // Chunked framing: size-line, data, CRLF, ... , 0-size chunk.
-        while (true) {
-            std::size_t eol;
-            while ((eol = _buf.find("\r\n")) == std::string::npos) {
-                if (!fillBuf(error)) {
-                    close();
-                    return false;
-                }
-            }
-            unsigned long long size = 0;
-            std::string size_line = _buf.substr(0, eol);
-            if (size_line.empty() ||
-                std::sscanf(size_line.c_str(), "%llx", &size) != 1) {
-                error = "malformed chunk size";
-                close();
-                return false;
-            }
-            while (_buf.size() < eol + 2 + size + 2) {
-                if (!fillBuf(error)) {
-                    close();
-                    return false;
-                }
-            }
-            resp.body.append(_buf, eol + 2, size);
-            _buf.erase(0, eol + 2 + size + 2);
-            if (size == 0)
-                break;
-        }
-    } else if (!cl.empty()) {
-        long long want = 0;
-        if (!parseIntStrict(cl, want) || want < 0) {
-            error = "bad Content-Length in response";
+    long long want = 0;
+    if (cl.empty() || !parseIntStrict(cl, want) || want < 0) {
+        error = "missing or bad Content-Length in response";
+        close();
+        return false;
+    }
+    while (_buf.size() < static_cast<std::size_t>(want)) {
+        if (!fillBuf(error)) {
             close();
             return false;
         }
-        while (_buf.size() < static_cast<std::size_t>(want)) {
-            if (!fillBuf(error)) {
-                close();
-                return false;
-            }
-        }
-        resp.body = _buf.substr(0, static_cast<std::size_t>(want));
-        _buf.erase(0, static_cast<std::size_t>(want));
-    } else {
-        // No framing: the body runs to EOF (Connection: close).
-        std::string ignored;
-        while (fillBuf(ignored)) {
-        }
-        resp.body = std::move(_buf);
-        _buf.clear();
-        close();
-        return true;
     }
+    resp.body = _buf.substr(0, static_cast<std::size_t>(want));
+    _buf.erase(0, static_cast<std::size_t>(want));
 
     if (toLower(resp.header("connection")) == "close")
         close();

@@ -17,9 +17,9 @@
  * The same header provides the blocking client used by the service
  * tests, the check.sh smoke stages, and pvar_loadgen: HttpClient
  * holds one connection open across requests (keep-alive reuse),
- * decodes both Content-Length and chunked response framing, and
- * exposes raw send/read hooks so tests can pipeline requests or
- * dribble partial bytes (slow-loris) on purpose.
+ * reads Content-Length-framed responses (the only framing the server
+ * emits), and exposes raw send/read hooks so tests can pipeline
+ * requests or dribble partial bytes (slow-loris) on purpose.
  */
 
 #ifndef PVAR_SERVICE_HTTP_HH
@@ -139,21 +139,19 @@ class HttpParser
 };
 
 /**
- * Serialize the head of a response. Adds Content-Length (or
- * `Transfer-Encoding: chunked` when @p chunked) and the Connection
- * header matching @p keep_alive. The body is NOT appended — the
- * event loop streams it separately so a multi-megabyte study report
- * never has to be duplicated into one contiguous send buffer.
+ * Serialize the head of a response: status line, Content-Type,
+ * Content-Length of resp.body, extra headers, and the Connection
+ * header matching @p keep_alive. The body is NOT appended.
  */
 std::string serializeHttpResponseHead(const HttpResponse &resp,
-                                      bool keep_alive, bool chunked);
+                                      bool keep_alive);
 
 /**
  * Blocking HTTP client over one persistent connection. Used by the
  * tests, the smoke scripts, and pvar_loadgen; understands keep-alive
  * (the connection is reused until the server closes it or a request
- * is sent with close_after) and both Content-Length and chunked
- * response bodies.
+ * is sent with close_after) and Content-Length-framed response
+ * bodies.
  */
 class HttpClient
 {
@@ -197,9 +195,10 @@ class HttpClient
     bool sendRaw(const std::string &bytes, std::string &error);
 
     /**
-     * Read one complete response (Content-Length, chunked, or
-     * EOF-delimited). Returns false on timeout, malformed framing, or
-     * a connection closed before a full response arrived.
+     * Read one complete Content-Length-framed response. Returns false
+     * with @p error set on timeout, on any other framing (chunked, or
+     * no Content-Length), on a malformed head, or on a connection
+     * closed before a full response arrived.
      */
     bool readResponse(HttpResponse &resp, std::string &error);
 

@@ -93,7 +93,6 @@ StudyService::start()
     lc.limits = _cfg.limits;
     lc.maxConns = _cfg.maxConns;
     lc.idleTimeoutMs = _cfg.idleTimeoutMs;
-    lc.backend = _cfg.backend;
 
     _loop = std::make_unique<HttpServerLoop>(
         lc,
@@ -109,19 +108,6 @@ StudyService::start()
             ++_served;
             inform("request method=- path=- status=%d ms=0.0", status);
             return errorResponse(status, msg);
-        },
-        [this]() {
-            if (faultCheck(FaultSite::HttpAccept).fired) {
-                // Injected listener failure: the connection is
-                // dropped before any bytes are read, as if the kernel
-                // reset it. Clients see ECONNRESET and retry; studies
-                // in flight are untouched.
-                ++_rejected;
-                warn("pvar_served: injected accept fault; connection "
-                     "dropped");
-                return false;
-            }
-            return true;
         });
 
     for (int i = 0; i < _cfg.workers; ++i)
@@ -129,10 +115,10 @@ StudyService::start()
     _loop->start();
     _port = _loop->port();
 
-    inform("pvar_served: listening on %s:%d (%s loop, %d workers, "
-           "queue %zu, cache %zu)",
-           _cfg.host.c_str(), _port, pollerBackendName(_cfg.backend),
-           _cfg.workers, _cfg.queueDepth, _cfg.cacheEntries);
+    inform("pvar_served: listening on %s:%d (%d workers, queue %zu, "
+           "cache %zu)",
+           _cfg.host.c_str(), _port, _cfg.workers, _cfg.queueDepth,
+           _cfg.cacheEntries);
 }
 
 void
@@ -376,7 +362,6 @@ StudyService::handleHealthz()
     if (_loop) {
         HttpLoopStats ls = _loop->stats();
         w.beginObject();
-        w.key("backend").value(pollerBackendName(_cfg.backend));
         w.key("open").value(static_cast<long long>(ls.open));
         w.key("accepted").value(static_cast<long long>(ls.accepted));
         w.key("keepalive_reuses")
@@ -391,8 +376,6 @@ StudyService::handleHealthz()
             .value(static_cast<long long>(ls.fdExhaustedSheds));
         w.key("bytes_in").value(static_cast<long long>(ls.bytesIn));
         w.key("bytes_out").value(static_cast<long long>(ls.bytesOut));
-        w.key("chunked")
-            .value(static_cast<long long>(ls.chunkedResponses));
         w.key("parse_errors")
             .value(static_cast<long long>(ls.parseErrors));
         w.endObject();
@@ -420,8 +403,11 @@ StudyService::handleHealthz()
 HttpResponse
 StudyService::handleDevices()
 {
+    // The builtin registry never changes: render it once.
+    static const std::string body =
+        fleetToJson(DeviceRegistry::builtin().entries()) + "\n";
     HttpResponse resp;
-    resp.body = fleetToJson(DeviceRegistry::builtin().entries()) + "\n";
+    resp.body = body;
     resp.headers.emplace_back("Cache-Control", "no-store");
     return resp;
 }

@@ -23,8 +23,8 @@
  *
  * Architecture (since the event-loop rewrite): ONE loop thread
  * (service/eventloop.hh) owns every socket — accept, parse, write —
- * with keep-alive, pipelining, chunked streaming for large bodies,
- * and idle/slow-loris timeouts. The loop calls this class's handler
+ * with keep-alive, pipelining, Content-Length-framed responses, and
+ * idle/slow-loris timeouts. The loop calls this class's handler
  * for each parsed request; cheap endpoints answer inline on the loop
  * thread, while /study and /crowd go through a *bounded* queue to a
  * small pool of study workers (each of which fans its experiments out
@@ -42,8 +42,7 @@
  * byte-identical response bodies — cached or not, at any jobs count.
  * POST /study responses are exactly the bytes `pvar_study --json`
  * emits for the same input, so clients can diff CLI and service
- * output directly (chunked transfer framing is transport-level; the
- * de-chunked body is the identical bytes). All experiment work is
+ * output directly. All experiment work is
  * routed through the content-addressed ResultCache, so identical
  * study units are simulated once per cache lifetime.
  */
@@ -100,9 +99,6 @@ struct ServiceConfig
 
     /** Per-connection idle/slow-loris deadline, in ms. */
     int idleTimeoutMs = 5000;
-
-    /** Readiness backend for the event loop. */
-    PollerBackend backend = defaultPollerBackend();
 
     /** Result-cache capacity, in experiments; 0 disables caching. */
     std::size_t cacheEntries = 128;

@@ -21,32 +21,15 @@ Simulator::add(Tickable *component)
 }
 
 void
-Simulator::remove(Tickable *component)
-{
-    _components.erase(
-        std::remove(_components.begin(), _components.end(), component),
-        _components.end());
-}
-
-void
-Simulator::restoreClock(Time now)
-{
-    if (_events.pending() != 0)
-        fatal("Simulator: clock restore with %zu pending events",
-              _events.pending());
-    _now = now;
-}
-
-void
 Simulator::advanceOnce(Time limit)
 {
-    // The jump target: nearest pending event or component boundary,
-    // clamped to the caller's deadline — but never less than one base
-    // step, which reproduces the fixed-step loop's overshoot when a
-    // deadline is not dt-aligned and keeps pinned components exact.
+    // The jump target: nearest component boundary, clamped to the
+    // caller's deadline — but never less than one base step, which
+    // reproduces the fixed-step loop's overshoot when a deadline is not
+    // dt-aligned and keeps pinned components exact.
     Time target = _now + _dt;
     if (_eventDriven) {
-        Time candidate = _events.nextDeadline();
+        Time candidate = Time::max();
         for (auto *c : _components)
             candidate = std::min(candidate, c->nextBoundary(_now, _dt));
         candidate = std::min(candidate, limit);
@@ -57,7 +40,6 @@ Simulator::advanceOnce(Time limit)
     ++_steps;
     for (auto *c : _components)
         c->tick(_now, dt);
-    _events.runUntil(_now);
 }
 
 void

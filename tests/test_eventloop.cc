@@ -2,9 +2,10 @@
  * @file
  * Tests for the async service core beneath StudyService: the
  * incremental HTTP parser and its malformed-request corpus (request
- * smuggling defenses), the hashed timer wheel, the Poller backends,
- * the HttpServerLoop end to end with synthetic handlers (keep-alive,
- * deferred completions, chunked streaming, overload shedding), and
+ * smuggling defenses), the hashed timer wheel, the epoll Poller, the
+ * HttpServerLoop end to end with synthetic handlers (keep-alive,
+ * deferred completions, large bodies resumed across short writes,
+ * overload shedding), HttpClient's Content-Length-only framing, and
  * the load generator's latency histogram. scripts/check.sh also
  * builds this binary in the TSan tree.
  */
@@ -18,6 +19,9 @@
 #include <thread>
 #include <vector>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include "fault/fault.hh"
@@ -351,17 +355,12 @@ TEST(TimerWheelTest, PastDeadlineFiresOnTheNextAdvance)
 }
 
 // ---------------------------------------------------------------------
-// Poller backends: identical semantics for epoll and poll.
+// Poller.
 // ---------------------------------------------------------------------
 
-class PollerBackends : public testing::TestWithParam<PollerBackend>
+TEST(PollerTest, PipeReadinessAndInterestChanges)
 {
-};
-
-TEST_P(PollerBackends, PipeReadinessAndInterestChanges)
-{
-    Poller poller(GetParam());
-    EXPECT_EQ(poller.backend(), GetParam());
+    Poller poller;
 
     int fds[2];
     ASSERT_EQ(::pipe(fds), 0);
@@ -389,23 +388,6 @@ TEST_P(PollerBackends, PipeReadinessAndInterestChanges)
     ::close(fds[1]);
 }
 
-namespace
-{
-
-std::string
-backendTestName(
-    const testing::TestParamInfo<PollerBackend> &param_info)
-{
-    return pollerBackendName(param_info.param);
-}
-
-} // namespace
-
-INSTANTIATE_TEST_SUITE_P(Backends, PollerBackends,
-                         testing::Values(PollerBackend::Epoll,
-                                         PollerBackend::Poll),
-                         backendTestName);
-
 // ---------------------------------------------------------------------
 // The loop end to end, with synthetic handlers.
 // ---------------------------------------------------------------------
@@ -424,11 +406,10 @@ jsonError(int status, const std::string &msg)
 
 /** Loop answering GET <anything> with "echo:<path>" inline. */
 HttpLoopConfig
-echoConfig(PollerBackend backend = defaultPollerBackend())
+echoConfig()
 {
     HttpLoopConfig cfg;
     cfg.port = 0;
-    cfg.backend = backend;
     return cfg;
 }
 
@@ -470,25 +451,6 @@ TEST(HttpServerLoopTest, KeepAliveServesManyRequestsPerConnection)
     EXPECT_EQ(stats.aborted, 0u);
 }
 
-TEST(HttpServerLoopTest, PollBackendServesIdentically)
-{
-    QuietLog quiet;
-    HttpServerLoop loop(
-        echoConfig(PollerBackend::Poll),
-        [](const HttpRequest &req, const std::string &,
-           HttpServerLoop::Token, HttpResponse &out) {
-            out.body = "echo:" + req.path;
-            return true;
-        },
-        jsonError);
-    loop.start();
-
-    HttpResponse resp =
-        httpRequest("127.0.0.1", loop.port(), "GET", "/poll");
-    EXPECT_EQ(resp.status, 200);
-    EXPECT_EQ(resp.body, "echo:/poll");
-}
-
 TEST(HttpServerLoopTest, DeferredCompletionsFlowBackToTheConnection)
 {
     QuietLog quiet;
@@ -519,18 +481,15 @@ TEST(HttpServerLoopTest, DeferredCompletionsFlowBackToTheConnection)
     completer.join();
 }
 
-TEST(HttpServerLoopTest, LargeBodiesStreamChunkedAndRoundTrip)
+TEST(HttpServerLoopTest, LargeBodiesResumeShortWritesOverKeepAlive)
 {
     QuietLog quiet;
-    HttpLoopConfig cfg = echoConfig();
-    cfg.streamThresholdBytes = 1024;
-    cfg.chunkBytes = 512;
     std::string big(100 * 1024, 'x');
     for (std::size_t i = 0; i < big.size(); i += 97)
         big[i] = static_cast<char>('a' + (i / 97) % 26);
 
     HttpServerLoop loop(
-        cfg,
+        echoConfig(),
         [&](const HttpRequest &, const std::string &,
             HttpServerLoop::Token, HttpResponse &out) {
             out.body = big;
@@ -539,22 +498,37 @@ TEST(HttpServerLoopTest, LargeBodiesStreamChunkedAndRoundTrip)
         jsonError);
     loop.start();
 
-    // Keep-alive response above the threshold: chunked framing on the
-    // wire, byte-identical body after de-chunking, connection reusable.
+    // Every send(2) moves only a quarter of what it is offered, so each
+    // response takes dozens of writes resumed from the saved offset.
+    FaultPlan plan(1);
+    FaultRule rule;
+    rule.site = FaultSite::NetWrite;
+    rule.mode = SysFaultMode::Short;
+    rule.value = 0.25;
+    rule.every = 1;
+    plan.addRule(rule);
+    installFaultPlan(std::make_shared<FaultPlan>(plan));
+
     HttpClient client("127.0.0.1", loop.port());
     std::string error;
-    ASSERT_TRUE(client.send("GET", "/big", "", false, error)) << error;
-    HttpResponse resp;
-    ASSERT_TRUE(client.readResponse(resp, error)) << error;
-    EXPECT_EQ(resp.status, 200);
-    EXPECT_EQ(resp.header("transfer-encoding"), "chunked");
-    EXPECT_EQ(resp.body, big);
+    for (const char *path : {"/big", "/again"}) {
+        HttpResponse resp;
+        bool ok = client.send("GET", path, "", false, error) &&
+                  client.readResponse(resp, error);
+        EXPECT_TRUE(ok) << path << ": " << error;
+        EXPECT_EQ(resp.status, 200);
+        EXPECT_EQ(resp.header("content-length"),
+                  std::to_string(big.size()));
+        EXPECT_EQ(resp.header("transfer-encoding"), "");
+        EXPECT_TRUE(resp.body == big) << path << ": body differs";
+    }
+    clearFaultPlan();
 
-    ASSERT_TRUE(client.send("GET", "/again", "", false, error))
-        << error;
-    ASSERT_TRUE(client.readResponse(resp, error)) << error;
-    EXPECT_EQ(resp.body, big);
-    EXPECT_GE(loop.stats().chunkedResponses, 2u);
+    loop.requestStop();
+    loop.join();
+    EXPECT_EQ(loop.stats().accepted, 1u);
+    EXPECT_EQ(loop.stats().keepAliveReuses, 1u);
+    EXPECT_EQ(loop.stats().aborted, 0u);
 }
 
 TEST(HttpServerLoopTest, MaxConnsShedsWith503)
@@ -651,6 +625,81 @@ TEST(HttpServerLoopTest, ParseErrorsAnswerAndClose)
     EXPECT_EQ(resp.status, 400);
     EXPECT_EQ(resp.header("connection"), "close");
     EXPECT_EQ(loop.stats().parseErrors, 1u);
+}
+
+// ---------------------------------------------------------------------
+// HttpClient framing: Content-Length or nothing.
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+/**
+ * Serve @p reply verbatim from a raw socket to one HttpClient request,
+ * then close; returns what readResponse() made of it.
+ */
+bool
+readRawReply(const std::string &reply, std::string &error)
+{
+    int lfd = ::socket(AF_INET, SOCK_STREAM, 0);
+    EXPECT_GE(lfd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof(addr);
+    EXPECT_EQ(::bind(lfd, reinterpret_cast<sockaddr *>(&addr), len), 0);
+    EXPECT_EQ(::listen(lfd, 1), 0);
+    EXPECT_EQ(
+        ::getsockname(lfd, reinterpret_cast<sockaddr *>(&addr), &len), 0);
+
+    std::thread peer([&] {
+        int fd = ::accept(lfd, nullptr, nullptr);
+        if (fd < 0)
+            return;
+        std::string head;
+        char buf[1024];
+        while (head.find("\r\n\r\n") == std::string::npos) {
+            ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+            if (n <= 0)
+                break;
+            head.append(buf, static_cast<std::size_t>(n));
+        }
+        [[maybe_unused]] ssize_t sent =
+            ::send(fd, reply.data(), reply.size(), MSG_NOSIGNAL);
+        ::close(fd);
+    });
+
+    HttpClient client("127.0.0.1", ntohs(addr.sin_port));
+    HttpResponse resp;
+    bool ok = client.send("GET", "/", "", false, error) &&
+              client.readResponse(resp, error);
+    peer.join();
+    ::close(lfd);
+    return ok;
+}
+
+} // namespace
+
+TEST(HttpClientTest, RejectsAnyFramingButContentLength)
+{
+    std::string error;
+    EXPECT_FALSE(readRawReply("HTTP/1.1 200 OK\r\n"
+                              "Transfer-Encoding: chunked\r\n\r\n"
+                              "2\r\nok\r\n0\r\n\r\n",
+                              error));
+    EXPECT_FALSE(error.empty()) << "chunked reply";
+
+    error.clear();
+    EXPECT_FALSE(readRawReply("HTTP/1.1 200 OK\r\n"
+                              "Connection: close\r\n\r\nok",
+                              error));
+    EXPECT_FALSE(error.empty()) << "reply without Content-Length";
+
+    // The same peer with Content-Length framing is read normally.
+    EXPECT_TRUE(readRawReply("HTTP/1.1 200 OK\r\n"
+                             "Content-Length: 2\r\n\r\nok",
+                             error))
+        << error;
 }
 
 // ---------------------------------------------------------------------

@@ -54,9 +54,9 @@ TEST(FaultNames, SiteNamesRoundTrip)
     const FaultSite sites[] = {
         FaultSite::StoreAppend,    FaultSite::StoreFsync,
         FaultSite::SensorRead,     FaultSite::ThermaboxRegulate,
-        FaultSite::ExperimentRun,  FaultSite::HttpAccept,
-        FaultSite::NetAccept,      FaultSite::NetRead,
-        FaultSite::NetWrite,       FaultSite::StoreWrite,
+        FaultSite::ExperimentRun,  FaultSite::NetAccept,
+        FaultSite::NetRead,        FaultSite::NetWrite,
+        FaultSite::StoreWrite,
     };
     std::set<std::string> names;
     for (FaultSite s : sites) {
@@ -66,9 +66,10 @@ TEST(FaultNames, SiteNamesRoundTrip)
         ASSERT_TRUE(faultSiteFromName(name, parsed)) << name;
         EXPECT_EQ(parsed, s);
     }
-    EXPECT_EQ(names.size(), kFaultSiteCount) << "names must be unique";
+    EXPECT_EQ(names.size(), std::size(sites)) << "names must be unique";
     FaultSite out;
     EXPECT_FALSE(faultSiteFromName("no.such.site", out));
+    EXPECT_FALSE(faultSiteFromName("http.accept", out)) << "retired site";
 }
 
 TEST(FaultNames, KindNamesRoundTrip)
@@ -350,19 +351,19 @@ TEST(FaultCheck, InstallResetsGlobalCounters)
 {
     FaultPlan plan(1);
     FaultRule rule;
-    rule.site = FaultSite::HttpAccept;
+    rule.site = FaultSite::NetAccept;
     rule.counts = {0};
     plan.addRule(rule);
 
     {
         PlanGuard guard{FaultPlan(plan)};
         // Unscoped: global counter. Fires once, at global count 0.
-        EXPECT_TRUE(faultCheck(FaultSite::HttpAccept).fired);
-        EXPECT_FALSE(faultCheck(FaultSite::HttpAccept).fired);
+        EXPECT_TRUE(faultCheck(FaultSite::NetAccept).fired);
+        EXPECT_FALSE(faultCheck(FaultSite::NetAccept).fired);
     }
     // Reinstalling resets the counter: count 0 fires again.
     PlanGuard guard{FaultPlan(plan)};
-    EXPECT_TRUE(faultCheck(FaultSite::HttpAccept).fired);
+    EXPECT_TRUE(faultCheck(FaultSite::NetAccept).fired);
 }
 
 TEST(FaultCheck, HitCarriesKindAndValue)

@@ -78,34 +78,12 @@ TEST(Simulator, EvaluationOrderIsRegistrationOrder)
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
-TEST(Simulator, RemoveStopsTicking)
-{
-    Simulator sim(Time::msec(10));
-    Counter c;
-    sim.add(&c);
-    sim.step();
-    sim.remove(&c);
-    sim.step();
-    EXPECT_EQ(c.ticks, 1);
-}
-
 TEST(Simulator, RunUntilExactDeadline)
 {
     Simulator sim(Time::msec(10));
     sim.runUntil(Time::msec(55));
     // Steps past the deadline in whole steps: 6 steps -> 60 ms.
     EXPECT_EQ(sim.now(), Time::msec(60));
-}
-
-TEST(Simulator, EventsFireDuringRun)
-{
-    Simulator sim(Time::msec(10));
-    int fired = 0;
-    sim.events().schedule(Time::msec(35), [&] { ++fired; });
-    sim.runFor(Time::msec(30));
-    EXPECT_EQ(fired, 0);
-    sim.runFor(Time::msec(10));
-    EXPECT_EQ(fired, 1);
 }
 
 TEST(Simulator, RunUntilCondition)

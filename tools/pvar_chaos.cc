@@ -171,7 +171,7 @@ makeChaosPlan(std::uint64_t seed)
     r.times = 32;
     plan.addRule(r);
 
-    // net.write: short writes mid-chunk (streamer must resume from
+    // net.write: short writes mid-response (the loop must resume from
     // its offset), EPIPE, EINTR.
     r = rule(FaultSite::NetWrite, SysFaultMode::Short);
     r.probability = 0.01 * static_cast<double>(derive(seed, 10, 3, 8));
@@ -202,12 +202,6 @@ makeChaosPlan(std::uint64_t seed)
     // way through — degraded and non-degraded recovery both soak.
     r = rule(FaultSite::StoreFsync, SysFaultMode::Default);
     r.probability = 0.005 * static_cast<double>(derive(seed, 17, 0, 3));
-    plan.addRule(r);
-
-    // http.accept: the pre-existing site — accepted connections
-    // vanish before the first byte.
-    r = rule(FaultSite::HttpAccept, SysFaultMode::Default);
-    r.probability = 0.002 * static_cast<double>(derive(seed, 18, 1, 4));
     plan.addRule(r);
 
     return plan;

@@ -10,22 +10,24 @@
  *     --queue N         pending-study queue depth (default 8)
  *     --max-conns N     open-connection cap (default 256)
  *     --idle-timeout MS per-connection idle deadline (default 5000)
- *     --poller KIND     readiness backend: epoll | poll
  *     --jobs N          experiment workers per study (default: all
  *                       hardware threads)
  *     --iterations N    default iterations per experiment (default 5)
  *     --ambient C       default chamber target temperature
+ *     --solver KIND     default thermal solver: stepped | fast
  *     --cache N         result-cache capacity in experiments
  *                       (default 128; 0 disables caching)
  *     --cache-dir DIR   persist results to an append-only store in
  *                       DIR and reload them on restart (warm starts;
  *                       crash-safe, see store/record_log.hh)
+ *     --fault-plan FILE install a fault-injection plan (JSON)
  *     --quiet           suppress progress logging
  *     --help            this text
  *
- * Endpoints: GET /healthz, GET /devices, POST /study — see
- * service/service.hh. SIGINT/SIGTERM drain gracefully: queued studies
- * finish, then the process exits 0.
+ * Endpoints: GET /healthz, GET /devices, POST /study, POST /crowd —
+ * see service/service.hh. One epoll loop thread owns every socket;
+ * every response carries a Content-Length. SIGINT/SIGTERM drain
+ * gracefully: queued studies finish, then the process exits 0.
  */
 
 #include <csignal>
@@ -71,8 +73,6 @@ usage()
         "                    answer 503 and close (default 256)\n"
         "  --idle-timeout MS per-connection idle/slow-loris deadline\n"
         "                    in milliseconds (default 5000, min 100)\n"
-        "  --poller KIND     readiness backend: \"epoll\" (default on\n"
-        "                    Linux) or \"poll\" (portable fallback)\n"
         "  --jobs N          experiment workers per study (default:\n"
         "                    all hardware threads)\n"
         "  --iterations N    default iterations per experiment "
@@ -96,7 +96,9 @@ usage()
         "  POST /study       run a study; body is a fleet document or\n"
         "                    {\"soc\": ...} / {\"device\": ...}, with\n"
         "                    optional \"iterations\"/\"ambient\"/\n"
-        "                    \"solver\" keys\n");
+        "                    \"solver\" keys\n"
+        "  POST /crowd       sample an N-die population; body is\n"
+        "                    {\"dies\": N} with optional overrides\n");
 }
 
 /** Parse an integer option value or die with a one-line error. */
@@ -144,12 +146,6 @@ main(int argc, char **argv)
         } else if (arg == "--idle-timeout") {
             cfg.idleTimeoutMs =
                 static_cast<int>(intArg(arg, next(), 100));
-        } else if (arg == "--poller") {
-            std::string kind = next();
-            if (!parsePollerBackend(kind, cfg.backend))
-                fatal("pvar_served: --poller must be \"epoll\" or "
-                      "\"poll\", got \"%s\"",
-                      kind.c_str());
         } else if (arg == "--jobs") {
             cfg.study.jobs = static_cast<int>(intArg(arg, next(), 1));
         } else if (arg == "--iterations") {
