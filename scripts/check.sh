@@ -60,23 +60,39 @@ service_smoke ./build/pvar_served ./build/pvar_study
 kill_recovery() {
     local served=$1 study=$2 storectl=$3 tmp
     tmp=$(mktemp -d)
+    # One experiment worker, so the slow request below stays in flight
+    # for well over a second.
     "$served" --port 0 --port-file "$tmp/port" --iterations 1 \
-        --cache-dir "$tmp/store" --quiet & local pid=$!
+        --jobs 1 --cache-dir "$tmp/store" --quiet & local pid=$!
     for _ in $(seq 100); do [ -s "$tmp/port" ] && break; sleep 0.1; done
     local port; port=$(cat "$tmp/port")
     # Warm the store with a completed study, then die mid-request: the
     # kill lands while the second (uncached) study is computing, so the
-    # process goes down with the log open for appends.
+    # process goes down with the log open for appends. The custom fleet
+    # at 10 iterations takes ~1.7 s on one worker; the kill comes at
+    # 0.3 s.
     curl -sf -X POST --data-binary \
         '{"device": "SD-805:unit-b", "iterations": 1}' \
         "http://127.0.0.1:$port/study" -o "$tmp/before.json"
-    curl -sf -X POST --data-binary @examples/custom_fleet.json \
-        "http://127.0.0.1:$port/study" -o /dev/null &
+    python3 - examples/custom_fleet.json "$tmp/slow.json" <<'EOF'
+import json, sys
+doc = json.load(open(sys.argv[1]))
+doc["iterations"] = 10
+json.dump(doc, open(sys.argv[2], "w"))
+EOF
+    curl -sf -X POST --data-binary @"$tmp/slow.json" \
+        "http://127.0.0.1:$port/study" -o "$tmp/killed.json" &
     local curl_pid=$!
     sleep 0.3
     kill -KILL "$pid"
     wait "$pid" 2>/dev/null || true
-    wait "$curl_pid" 2>/dev/null || true
+    # The kill must have landed mid-study: the slow request got no
+    # response.
+    if wait "$curl_pid" 2>/dev/null; then
+        echo "kill_recovery: the study finished before the kill"
+        return 1
+    fi
+    [ ! -s "$tmp/killed.json" ]
 
     # 0 = clean; 2 = torn tail truncated at open, which is legitimate
     # SIGKILL recovery. 1 (undecodable surviving records) stays fatal.
@@ -228,6 +244,9 @@ import json, sys
 s = json.load(open(sys.argv[1]))
 assert s["live_point_records"] == 16, s
 assert s["live_point_bytes"] > 0, s
+# The sampler records no trace: a checkpoint is ~0.8 KB, a traced one
+# ~90 KB.
+assert s["live_point_bytes"] / s["live_point_records"] < 8192, s
 EOF
     rm -rf "$tmp"
 }

@@ -60,7 +60,8 @@ runExperiment(Device &device, const ExperimentConfig &cfg)
     device.setSuspendAllowed(false);
     if (cfg.soakFirst)
         device.soakTo(box.airTemp());
-    device.attachTrace(&result.trace);
+    Trace *trace = cfg.trace ? &result.trace : nullptr;
+    device.attachTrace(trace);
 
     // -- Live point: restore the capture-point state if one is stored.
     // Last in the setup, so the restored bytes land on top of a fully
@@ -89,12 +90,12 @@ runExperiment(Device &device, const ExperimentConfig &cfg)
     for (int i = 0; i < cfg.iterations; ++i) {
         if (i > 0 || !restored) {
             progress = startAccubenchIteration(sim, device, cfg.accubench,
-                                               &result.trace);
+                                               trace);
             if (i == 0 && live_points)
                 captureLivePoint(*cfg.livePoints, cfg.livePointKey, live);
         }
         result.iterations.push_back(finishAccubenchIteration(
-            sim, device, cfg.accubench, &result.trace, progress));
+            sim, device, cfg.accubench, trace, progress));
     }
 
     // -- Restore the device for the next experiment. -------------------------

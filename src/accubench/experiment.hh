@@ -141,6 +141,20 @@ struct ExperimentConfig
     bool soakFirst = true;
 
     /**
+     * Record the device's time series and phase marks into
+     * ExperimentResult::trace. Off leaves the trace with no channels;
+     * iterations are identical either way, because tracing only
+     * observes. The schedulers whose consumers read iterations alone
+     * turn it off: studyExperimentConfigs (CLI studies, POST /study),
+     * crowdDieExperiment (--crowd, POST /crowd) and sampleSizeStudy.
+     * Readers of the trace — runCrowdSim's ambient estimate, the figure
+     * benches, the examples — keep the default. It feeds the cache key
+     * (only when off, so traced keys keep their bytes): a traced
+     * request is never answered by an untraced record.
+     */
+    bool trace = true;
+
+    /**
      * Retry attempt discriminator, set by the supervised scheduler
      * (0 = first attempt). It feeds the cache key — so a retried
      * attempt never aliases the attempt it replaces — and re-keys the

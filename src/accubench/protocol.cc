@@ -164,6 +164,7 @@ studyExperimentConfigs(const RegistryEntry &entry, const StudyConfig &cfg)
     unc_cfg.solver = cfg.solver;
     unc_cfg.supply = SupplyChoice::MonsoonExplicit;
     unc_cfg.monsoonVoltage = entry.monsoonVoltage;
+    unc_cfg.trace = false; // study reports read iterations only
 
     ExperimentConfig fix_cfg = unc_cfg;
     fix_cfg.mode = WorkloadMode::FixedFrequency;

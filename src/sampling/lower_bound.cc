@@ -31,6 +31,7 @@ sampleSizeStudy(const LowerBoundConfig &cfg)
     exp.supply = SupplyChoice::MonsoonExplicit;
     exp.monsoonVoltage = studyMonsoonVoltageForSoc(cfg.socName);
     exp.solver = cfg.solver;
+    exp.trace = false; // only per-iteration scores are resampled
 
     // Sample every corner serially in (size, replicate, unit) order —
     // the exact draw order of the serial loop — then fan the

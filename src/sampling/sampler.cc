@@ -155,6 +155,7 @@ crowdDieExperiment(const CrowdStudyConfig &cfg, const CrowdDie &die)
     exp.thermabox.target = Celsius(die.ambientC);
     exp.accubench.cooldownTarget = Celsius(die.ambientC + 8.0);
     exp.solver = cfg.solver;
+    exp.trace = false; // the sampler reads per-iteration means only
     if (cfg.livePoints) {
         RegistryEntry entry =
             DeviceRegistry::builtin().at(cfg.population.socName);

@@ -64,18 +64,26 @@ CpuCluster::power(const Die &die, Celsius die_temp) const
     Volts v = appliedVoltage();
     MegaHertz f = frequency();
 
+    // Every online core draws the same power, as does every offline
+    // one: evaluate each term once (leakage costs two exp), then sum
+    // per core in core order so the total stays bit-identical to the
+    // per-core evaluation.
+    double activity =
+        _utilization + (1.0 - _utilization) * _params.idleDynamicFraction;
+    Watts dynamic = die.dynamicPower(v, f, activity, size);
+    Watts leak_online = die.leakagePower(v, die_temp, size);
+    Watts leak_offline(0.0);
+    if (_onlineCores < _params.coreCount)
+        leak_offline = die.leakagePower(
+            v, die_temp, size * _params.offlineLeakFraction);
+
     Watts total(0.0);
     for (int core = 0; core < _params.coreCount; ++core) {
-        bool online = core < _onlineCores;
-        if (online) {
-            double activity =
-                _utilization +
-                (1.0 - _utilization) * _params.idleDynamicFraction;
-            total += die.dynamicPower(v, f, activity, size);
-            total += die.leakagePower(v, die_temp, size);
+        if (core < _onlineCores) {
+            total += dynamic;
+            total += leak_online;
         } else {
-            total += die.leakagePower(v, die_temp,
-                                      size * _params.offlineLeakFraction);
+            total += leak_offline;
         }
     }
     return total;

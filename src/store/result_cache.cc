@@ -104,6 +104,10 @@ writeExperimentConfig(JsonWriter &w, const ExperimentConfig &cfg)
     w.key("soak_first").value(cfg.soakFirst);
     w.key("retry_salt")
         .value(static_cast<long long>(cfg.retrySalt));
+    // Written only when off, so every traced key keeps the bytes it
+    // had before the field existed.
+    if (!cfg.trace)
+        w.key("trace").value(false);
     // cfg.livePoints / cfg.livePointKey are deliberately absent: a
     // live-point-warm run is byte-identical to a cold one
     // (accubench/live_point.cc rolls back on any mismatch), so both

@@ -131,6 +131,73 @@ TEST(Experiment, TraceCoversWholeRun)
     EXPECT_GT(ch.samples().back().when, Time::minutes(3));
 }
 
+/** Run quickConfig() on a fresh Nexus 5 with the given solver and trace. */
+ExperimentResult
+runQuick(SolverKind solver, bool trace, LivePointCache *live = nullptr)
+{
+    auto d = makeNexus5(2, UnitCorner{"x", 0, 0, 0});
+    ExperimentConfig cfg = quickConfig();
+    cfg.solver = solver;
+    cfg.trace = trace;
+    if (live) {
+        cfg.livePoints = live;
+        cfg.livePointKey = trace ? "traced" : "untraced";
+    }
+    return runExperiment(*d, cfg);
+}
+
+/** Traced and untraced runs must agree on every reported byte. */
+void
+expectSameIterations(const ExperimentResult &traced,
+                     const ExperimentResult &untraced)
+{
+    ASSERT_EQ(traced.iterations.size(), untraced.iterations.size());
+    for (std::size_t i = 0; i < traced.iterations.size(); ++i) {
+        EXPECT_EQ(traced.iterations[i].score, untraced.iterations[i].score);
+        EXPECT_EQ(traced.iterations[i].totalEnergy.value(),
+                  untraced.iterations[i].totalEnergy.value());
+    }
+    EXPECT_EQ(toJson(traced), toJson(untraced));
+    EXPECT_FALSE(traced.trace.channelNames().empty());
+    EXPECT_TRUE(untraced.trace.channelNames().empty());
+}
+
+TEST(Experiment, UntracedRunMatchesTracedPerSolver)
+{
+    for (SolverKind solver : {SolverKind::Stepped, SolverKind::Fast}) {
+        SCOPED_TRACE(solverKindName(solver));
+        expectSameIterations(runQuick(solver, true),
+                             runQuick(solver, false));
+    }
+}
+
+/** Counts restores, so a warm rerun provably skipped its prefix. */
+class CountingLivePoints : public MemoryLivePointCache
+{
+  public:
+    bool
+    fetch(const std::string &key, std::string &out) override
+    {
+        bool hit = MemoryLivePointCache::fetch(key, out);
+        hits += hit ? 1 : 0;
+        return hit;
+    }
+
+    int hits = 0;
+};
+
+TEST(Experiment, UntracedLivePointWarmRerunMatchesTraced)
+{
+    CountingLivePoints live;
+    ExperimentResult traced = runQuick(SolverKind::Fast, true, &live);
+    ExperimentResult cold = runQuick(SolverKind::Fast, false, &live);
+    ExperimentResult warm = runQuick(SolverKind::Fast, false, &live);
+    EXPECT_EQ(live.size(), 2u);
+    EXPECT_EQ(live.hits, 1);
+    expectSameIterations(traced, cold);
+    expectSameIterations(traced, warm);
+}
+
 TEST(Experiment, DeviceRestoredAfterRun)
 {
     auto d = makeNexus5(2, UnitCorner{"x", 0, 0, 0});

@@ -337,13 +337,32 @@ TEST(LivePoints, ColdCaptureRecordBytesArePinned)
     cfg.livePoints = &cache;
     CrowdDie die = crowdDie(cfg.population, 17);
     auto device = makeUnitForSoc(cfg.population.socName, die.corner);
-    runExperiment(*device, crowdDieExperiment(cfg, die));
+    ExperimentConfig exp = crowdDieExperiment(cfg, die);
+    exp.trace = true;
+    runExperiment(*device, exp);
 
     ASSERT_EQ(cache.map.size(), 1u);
     const std::string &value = cache.map.begin()->second;
     EXPECT_EQ(value.size(), 25626u);
     EXPECT_EQ(fnv1a64(value.data(), value.size()),
               0x4ed4c9f4f5de664dull);
+}
+
+/** The sampler's own (untraced) record: an empty trace section. */
+TEST(LivePoints, ColdCaptureUntracedRecordBytesArePinned)
+{
+    CrowdStudyConfig cfg = quickStudy(64, 3, 4, 2);
+    TestLivePointCache cache;
+    cfg.livePoints = &cache;
+    CrowdDie die = crowdDie(cfg.population, 17);
+    auto device = makeUnitForSoc(cfg.population.socName, die.corner);
+    runExperiment(*device, crowdDieExperiment(cfg, die));
+
+    ASSERT_EQ(cache.map.size(), 1u);
+    const std::string &value = cache.map.begin()->second;
+    EXPECT_EQ(value.size(), 792u);
+    EXPECT_EQ(fnv1a64(value.data(), value.size()),
+              0x839bac0171068759ull);
 }
 
 TEST(LivePoints, WarmRerunIsByteIdenticalAndActuallyRestores)

@@ -109,6 +109,10 @@ TEST(ResultCacheKey, DistinguishesEveryInput)
                      : WorkloadMode::Unconstrained;
     EXPECT_NE(base, experimentKeyText(entry, 0, other));
 
+    other = cfg;
+    other.trace = !cfg.trace;
+    EXPECT_NE(base, experimentKeyText(entry, 0, other));
+
     const RegistryEntry &sibling =
         DeviceRegistry::builtin().at("SD-810");
     EXPECT_NE(base, experimentKeyText(sibling, 0, cfg));

@@ -30,6 +30,7 @@
 
 #include "accubench/protocol.hh"
 #include "device/registry.hh"
+#include "device/spec.hh"
 #include "fault/fault.hh"
 #include "report/json.hh"
 #include "sim/bytes.hh"
@@ -901,6 +902,72 @@ TEST(DurableCache, ResumedStudyIsByteIdenticalAndSkipsDoneWork)
               reference);
     EXPECT_EQ(third.storeStats().hits, 4u);
     EXPECT_EQ(third.storeStats().misses, 0u);
+}
+
+/**
+ * Forwards every lookup with the trace switched on, computing misses
+ * the way the study scheduler does: the traced twin of a study, for
+ * size comparisons.
+ */
+class TracedStudyCache : public ExperimentCache
+{
+  public:
+    explicit TracedStudyCache(ExperimentCache &inner) : _inner(inner) {}
+
+    ExperimentResult
+    getOrCompute(const RegistryEntry &entry, std::size_t unit_index,
+                 const ExperimentConfig &cfg,
+                 const std::function<ExperimentResult()> &) override
+    {
+        ExperimentConfig traced = cfg;
+        traced.trace = true;
+        return _inner.getOrCompute(entry, unit_index, traced, [&]() {
+            auto device = buildDevice(entry.spec,
+                                      entry.units.at(unit_index),
+                                      traced.retrySalt);
+            return runExperiment(*device, traced);
+        });
+    }
+
+    void flushPending() override { _inner.flushPending(); }
+
+  private:
+    ExperimentCache &_inner;
+};
+
+TEST(DurableCache, UntracedStudyStoreIsTenfoldSmaller)
+{
+    QuietLog quiet;
+    StudyConfig cfg;
+    cfg.iterations = 1;
+    cfg.solver = SolverKind::Fast;
+
+    std::string plain_dir = freshDir("untraced");
+    std::string traced_dir = freshDir("traced");
+    std::string plain_json, traced_json;
+    {
+        DurableCache cache(plain_dir);
+        StudyConfig c = cfg;
+        c.cache = &cache;
+        plain_json = toJson(runSocStudy("SD-805", c));
+        EXPECT_EQ(cache.storeStats().appends, 6u); // 3 units x 2 modes
+    }
+    {
+        DurableCache cache(traced_dir);
+        TracedStudyCache traced(cache);
+        StudyConfig c = cfg;
+        c.cache = &traced;
+        traced_json = toJson(runSocStudy("SD-805", c));
+        EXPECT_EQ(cache.storeStats().appends, 6u);
+    }
+    // Tracing only observes: the study bytes do not depend on it.
+    EXPECT_EQ(plain_json, traced_json);
+
+    std::size_t plain = readFile(plain_dir + "/experiments.log").size();
+    std::size_t traced = readFile(traced_dir + "/experiments.log").size();
+    EXPECT_GT(plain, 0u);
+    EXPECT_GE(traced, 10 * plain)
+        << "untraced " << plain << " B, traced " << traced << " B";
 }
 
 // ---------------------------------------------------------------------
