@@ -3,7 +3,8 @@
 # the test suite, replay a pinned chaos plan (fault injection), soak
 # the service under syscall-level fault injection (pvar_chaos), run
 # the thread-pool/protocol tests under ThreadSanitizer plus the
-# service/store tests under AddressSanitizer, and execute every bench
+# service/store tests under AddressSanitizer, check that a
+# -march=native tree prints the same bytes, and execute every bench
 # binary's shape checks.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -244,13 +245,45 @@ import json, sys
 s = json.load(open(sys.argv[1]))
 assert s["live_point_records"] == 16, s
 assert s["live_point_bytes"] > 0, s
-# The sampler records no trace: a checkpoint is ~0.8 KB, a traced one
-# ~90 KB.
+# A checkpoint holds no trace: ~0.8 KB.
 assert s["live_point_bytes"] / s["live_point_records"] < 8192, s
 EOF
     rm -rf "$tmp"
 }
 crowd_identity ./build/pvar_study ./build/pvar_storectl
+
+# Bytes on any x86-64 build: every pvar_* library compiles with
+# -ffp-contract=off, so a -march=native tree on a CPU with FMA (where
+# GCC would otherwise fuse a*b+c) must pass the study golden and the
+# live-point pin, and print the same crowd and study JSON as the
+# default tree. Without FMA the native tree proves nothing: skipped.
+native_fma() {
+    if ! grep -qw fma /proc/cpuinfo; then
+        echo "native_fma: skipped (the CPU reports no fma)"
+        return 0
+    fi
+    cmake -B build-native -S . -G Ninja -DCMAKE_CXX_FLAGS=-march=native
+    cmake --build build-native \
+        --target test_experiment test_sampling pvar_study
+    ./build-native/tests/test_experiment \
+        --gtest_filter='Experiment.FullStudyMatchesPreBatchGolden'
+    ./build-native/tests/test_sampling --gtest_filter='LivePoints.*'
+    local tmp tree solver
+    tmp=$(mktemp -d)
+    for tree in build build-native; do
+        "./$tree/pvar_study" --crowd 1000000 --ci-target 1 --quiet \
+            --output "$tmp/$tree.crowd.json"
+        for solver in stepped fast; do
+            "./$tree/pvar_study" --iterations 1 --solver "$solver" \
+                --json --quiet --output "$tmp/$tree.$solver.json"
+        done
+    done
+    cmp "$tmp/build.crowd.json" "$tmp/build-native.crowd.json"
+    cmp "$tmp/build.stepped.json" "$tmp/build-native.stepped.json"
+    cmp "$tmp/build.fast.json" "$tmp/build-native.fast.json"
+    rm -rf "$tmp"
+}
+native_fma
 
 # Service under load: the native generator drives a live server over
 # keep-alive connections — zero transport errors, zero non-2xx, a

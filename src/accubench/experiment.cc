@@ -65,11 +65,12 @@ runExperiment(Device &device, const ExperimentConfig &cfg)
 
     // -- Live point: restore the capture-point state if one is stored.
     // Last in the setup, so the restored bytes land on top of a fully
-    // wired cold device (solver, supply, trace channels all resolved).
+    // wired cold device (solver and supply resolved). A traced run
+    // records its prefix, so it never uses one.
     AccubenchProgress progress;
-    LivePointState live{sim, box, device, result.trace, progress};
-    bool live_points = cfg.livePoints && !cfg.livePointKey.empty() &&
-                       cfg.iterations > 0;
+    LivePointState live{sim, box, device, progress};
+    bool live_points = !cfg.trace && cfg.livePoints &&
+                       !cfg.livePointKey.empty() && cfg.iterations > 0;
     bool restored = false;
     if (live_points) {
         std::string value;

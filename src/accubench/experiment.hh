@@ -148,9 +148,14 @@ struct ExperimentConfig
      * turn it off: studyExperimentConfigs (CLI studies, POST /study),
      * crowdDieExperiment (--crowd, POST /crowd) and sampleSizeStudy.
      * Readers of the trace — runCrowdSim's ambient estimate, the figure
-     * benches, the examples — keep the default. It feeds the cache key
-     * (only when off, so traced keys keep their bytes): a traced
-     * request is never answered by an untraced record.
+     * benches, the examples — keep the default.
+     *
+     * Traced runs bypass both caches: ResultCache and DurableCache
+     * compute a traced config directly, counting and storing nothing,
+     * and runExperiment ignores `livePoints`. Caches and stores thus
+     * hold untraced results and checkpoints only. The key still writes
+     * `"trace": false` on every untraced config, so stored key texts
+     * keep their bytes.
      */
     bool trace = true;
 
@@ -163,11 +168,12 @@ struct ExperimentConfig
     std::uint64_t retrySalt = 0;
 
     /**
-     * Live-point checkpointing (optional). When a cache is attached
-     * and `livePointKey` is non-empty, the protocol restores the
-     * post-warmup capture state stored under the key (skipping the
-     * stabilize/warmup/cooldown prefix of iteration 0) or, on a cold
-     * run, captures it at the capture point for the next run.
+     * Live-point checkpointing (optional). When a cache is attached,
+     * `livePointKey` is non-empty and `trace` is off, the protocol
+     * restores the post-warmup capture state stored under the key
+     * (skipping the stabilize/warmup/cooldown prefix of iteration 0)
+     * or, on a cold run, captures it at the capture point for the next
+     * run.
      *
      * Deliberately EXCLUDED from the result cache key
      * (writeExperimentConfig): warm and cold runs produce

@@ -1,8 +1,6 @@
 #include "accubench/live_point.hh"
 
-#include <algorithm>
 #include <cstdint>
-#include <vector>
 
 #include "accubench/experiment.hh"
 #include "sim/bytes.hh"
@@ -14,11 +12,10 @@ namespace pvar
 namespace
 {
 
-constexpr std::uint32_t kLivePointVersion = 3; // = store/codec.hh
+constexpr std::uint32_t kLivePointVersion = 4; // = store/codec.hh
 constexpr std::uint32_t kSectionMeta = 1;   // clock + protocol scratch
 constexpr std::uint32_t kSectionBox = 2;    // Thermabox
 constexpr std::uint32_t kSectionDevice = 3; // full Device state
-constexpr std::uint32_t kSectionTrace = 4;  // samples recorded so far
 
 void
 writeMeta(Time now, const AccubenchProgress &p, ByteWriter &w)
@@ -91,22 +88,19 @@ readMeta(ByteReader &r, Time &now, AccubenchProgress &p)
 std::string
 encodeLivePoint(const LivePointState &s)
 {
-    ByteWriter meta, box, device, trace;
+    ByteWriter meta, box, device;
     writeMeta(s.sim.now(), s.progress, meta);
     s.box.saveState(box);
     s.device.saveState(device);
-    s.trace.saveState(trace);
 
     ByteWriter body;
-    body.u32(4);
+    body.u32(3);
     body.u32(kSectionMeta);
     body.str(meta.take());
     body.u32(kSectionBox);
     body.str(box.take());
     body.u32(kSectionDevice);
     body.str(device.take());
-    body.u32(kSectionTrace);
-    body.str(trace.take());
     std::string bytes = body.take();
 
     ByteWriter head;
@@ -116,7 +110,7 @@ encodeLivePoint(const LivePointState &s)
 }
 
 /**
- * Load @p value into the box, device and trace of @p s, and the clock
+ * Load @p value into the box and device of @p s, and the clock
  * and protocol scratch into @p now / @p p. False leaves the components
  * partially written.
  */
@@ -135,15 +129,15 @@ decodeLivePoint(LivePointState &s, const std::string &value, Time &now,
         fnv1a64(value.data() + r.pos(), value.size() - r.pos()) !=
             digest)
         return false;
-    if (!r.u32(n_sections) || n_sections != 4)
+    if (!r.u32(n_sections) || n_sections != 3)
         return false;
-    bool seen[5] = {};
+    bool seen[4] = {};
     for (std::uint32_t i = 0; i < n_sections; ++i) {
         std::uint32_t tag = 0;
         std::string payload;
         if (!r.u32(tag) || !r.str(payload))
             return false;
-        if (tag < kSectionMeta || tag > kSectionTrace || seen[tag])
+        if (tag < kSectionMeta || tag > kSectionDevice || seen[tag])
             return false;
         seen[tag] = true;
         ByteReader pr(payload);
@@ -157,9 +151,6 @@ decodeLivePoint(LivePointState &s, const std::string &value, Time &now,
             break;
           case kSectionDevice:
             ok = s.device.loadState(pr);
-            break;
-          case kSectionTrace:
-            ok = s.trace.loadState(pr);
             break;
         }
         if (!ok || !pr.done())
@@ -180,13 +171,11 @@ captureLivePoint(LivePointCache &cache, const std::string &key,
 bool
 restoreLivePoint(LivePointState &s, const std::string &value)
 {
-    // Snapshot the cold state (and channel set) so a bad value rolls
-    // back instead of leaving a half-applied restore.
-    std::vector<std::string> cold_channels = s.trace.channelNames();
+    // Snapshot the cold state so a bad value rolls back instead of
+    // leaving a half-applied restore.
     ByteWriter snap;
     s.box.saveState(snap);
     s.device.saveState(snap);
-    s.trace.saveState(snap);
     std::string rollback = snap.take();
 
     Time now;
@@ -201,16 +190,8 @@ restoreLivePoint(LivePointState &s, const std::string &value)
     warn("live point: stored state for unit %s failed to load; "
          "falling back to a cold start", s.device.unitId().c_str());
 
-    // Drop channels the failed load invented (the snapshot only
-    // rewrites channels it knows), then reload component state.
-    for (const std::string &name : s.trace.channelNames()) {
-        if (std::find(cold_channels.begin(), cold_channels.end(),
-                      name) == cold_channels.end())
-            s.trace.dropChannel(name);
-    }
     ByteReader r(rollback);
-    if (!s.box.loadState(r) || !s.device.loadState(r) ||
-        !s.trace.loadState(r) || !r.done())
+    if (!s.box.loadState(r) || !s.device.loadState(r) || !r.done())
         fatal("live point: rollback of freshly saved state failed");
     return false;
 }

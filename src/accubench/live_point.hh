@@ -10,18 +10,18 @@
  * finishes iteration 0 from there, which is bit-identical to having
  * simulated the prefix.
  *
- * Record layout (codec version 3; store/codec.hh reserves the version
+ * Record layout (codec version 4; store/codec.hh reserves the version
  * number and validates exactly this framing without understanding the
  * payloads):
  *
- *   u32 version (=3) | u64 digest | u32 n_sections
+ *   u32 version (=4) | u64 digest | u32 n_sections
  *                    | (u32 tag | str payload)*
  *
  * Sections, in order: 1 meta (clock + protocol scratch), 2 Thermabox,
- * 3 Device, 4 trace samples recorded so far. `digest` is the FNV-1a
- * of every byte after the digest field, so a record flips from valid
- * to rejected on any single corrupted body byte, no matter what
- * transport carried it.
+ * 3 Device. No trace: a traced run never uses live points
+ * (ExperimentConfig::trace). `digest` is the FNV-1a of every byte
+ * after the digest field, so a record flips from valid to rejected on
+ * any single corrupted body byte, no matter what transport carried it.
  */
 
 #ifndef PVAR_ACCUBENCH_LIVE_POINT_HH
@@ -31,7 +31,6 @@
 
 #include "accubench/accubench.hh"
 #include "sim/simulator.hh"
-#include "sim/trace.hh"
 #include "thermabox/thermabox.hh"
 
 namespace pvar
@@ -45,15 +44,10 @@ struct LivePointState
     Simulator &sim;
     Thermabox &box;
     Device &device;
-    Trace &trace;
     AccubenchProgress &progress;
 };
 
-/**
- * At the capture point of a cold run: store @p s under @p key. Refuses
- * (with a warning) when the simulator has pending events, which the
- * record cannot carry.
- */
+/** At the capture point of a cold run: store @p s under @p key. */
 void captureLivePoint(LivePointCache &cache, const std::string &key,
                       const LivePointState &s);
 

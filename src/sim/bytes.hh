@@ -162,9 +162,6 @@ class ByteReader
     /** Current cursor position. */
     std::size_t pos() const { return _pos; }
 
-    /** Bytes remaining past the cursor. */
-    std::size_t remaining() const { return _bytes.size() - _pos; }
-
     bool done() const { return _pos == _bytes.size(); }
 
   private:

@@ -1,9 +1,9 @@
 #include "store/codec.hh"
 
-#include <algorithm>
 #include <cstdint>
 
 #include "sim/bytes.hh"
+#include "sim/logging.hh"
 
 namespace pvar
 {
@@ -11,17 +11,16 @@ namespace pvar
 namespace
 {
 
-// v1: result core. v2 appends the supervision outcome (status u8,
-// attempts u32, quarantined u8) at the very end, so a v1 record is a
-// strict prefix and still decodes (with Ok/1/false defaults).
-// Version 3 is reserved for live-point records (a different kind that
-// shares the log), so result decoding stays capped at 2.
+// Version 1 lacked the supervision tail; every key that could name a
+// v1 record also lacks `retry_salt`, so no key built today reaches
+// one. Version 3 and up tag live-point records (a different kind that
+// shares the log).
 constexpr std::uint32_t kCodecVersion = 2;
 
 /**
  * Keeps decoders honest about pathological counts: no real experiment
- * has anywhere near this many iterations, channels, or samples, but a
- * corrupted length field easily does.
+ * has anywhere near this many iterations, but a corrupted length field
+ * easily does.
  */
 constexpr std::uint64_t kMaxCount = 64u * 1024 * 1024;
 
@@ -49,17 +48,12 @@ encodeExperimentResult(const ExperimentResult &result)
         w.u8(it.cooldownReachedTarget ? 1 : 0);
     }
 
-    std::vector<std::string> channels = result.trace.channelNames();
-    w.u32(static_cast<std::uint32_t>(channels.size()));
-    for (const std::string &name : channels) {
-        const TraceChannel &ch = result.trace.channel(name);
-        w.str(name);
-        w.u64(ch.size());
-        for (const Sample &s : ch.samples()) {
-            w.i64(s.when.toUsec());
-            w.f64(s.value);
-        }
-    }
+    // Caches and stores hold untraced results only: the channel
+    // section is a fixed empty count.
+    if (!result.trace.channelNames().empty())
+        fatal("encodeExperimentResult: unit %s carries a trace; traced "
+              "results are never stored", result.unitId.c_str());
+    w.u32(0);
 
     // v2 supervision outcome.
     w.u8(static_cast<std::uint8_t>(result.status));
@@ -73,7 +67,7 @@ decodeExperimentResult(const std::string &bytes, ExperimentResult &out)
 {
     ByteReader r(bytes);
     std::uint32_t version = 0;
-    if (!r.u32(version) || version < 1 || version > kCodecVersion)
+    if (!r.u32(version) || version != kCodecVersion)
         return false;
 
     out = ExperimentResult{};
@@ -106,40 +100,20 @@ decodeExperimentResult(const std::string &bytes, ExperimentResult &out)
         out.iterations.push_back(it);
     }
 
+    // Stores hold untraced results only, so channels mean a record
+    // from a build that stored traces (or corruption): a miss.
     std::uint32_t n_channels = 0;
-    if (!r.u32(n_channels) || n_channels > kMaxCount)
+    if (!r.u32(n_channels) || n_channels != 0)
         return false;
-    for (std::uint32_t c = 0; c < n_channels; ++c) {
-        std::string name;
-        std::uint64_t n_samples = 0;
-        if (!r.str(name) || !r.u64(n_samples) ||
-            n_samples > kMaxCount)
-            return false;
-        TraceChannel &ch = out.trace.channel(name);
-        // Each sample takes 16 bytes, so the bytes left bound the
-        // count: a corrupt count cannot drive a large reservation.
-        ch.reserve(static_cast<std::size_t>(
-            std::min<std::uint64_t>(n_samples, r.remaining() / 16)));
-        for (std::uint64_t s = 0; s < n_samples; ++s) {
-            std::int64_t when = 0;
-            double value = 0.0;
-            if (!r.i64(when) || !r.f64(value))
-                return false;
-            ch.record(Time::usec(when), value);
-        }
-    }
 
-    if (version >= 2) {
-        std::uint8_t status = 0, quarantined = 0;
-        if (!r.u8(status) ||
-            status > static_cast<std::uint8_t>(
-                         ExperimentStatus::PermanentFault) ||
-            !r.u32(out.attempts) || !r.u8(quarantined) ||
-            quarantined > 1)
-            return false;
-        out.status = static_cast<ExperimentStatus>(status);
-        out.quarantined = quarantined != 0;
-    }
+    std::uint8_t status = 0, quarantined = 0;
+    if (!r.u8(status) ||
+        status > static_cast<std::uint8_t>(
+                     ExperimentStatus::PermanentFault) ||
+        !r.u32(out.attempts) || !r.u8(quarantined) || quarantined > 1)
+        return false;
+    out.status = static_cast<ExperimentStatus>(status);
+    out.quarantined = quarantined != 0;
     // Trailing bytes mean the value was written by something else;
     // reject rather than silently accept a prefix.
     return r.done();
@@ -150,7 +124,7 @@ valueIsLivePoint(const std::string &bytes)
 {
     ByteReader r(bytes);
     std::uint32_t version = 0;
-    return r.u32(version) && version == kLivePointVersion;
+    return r.u32(version) && version >= 3;
 }
 
 bool

@@ -12,15 +12,21 @@
  * Layout (little-endian; str := u32 length + bytes; f64 := IEEE-754
  * bits as u64; see DESIGN.md §2.4):
  *
- *   value   := version u32 (=1)
+ *   value   := version u32 (=2)
  *              unitId str | model str | socName str
  *              n_iterations u32 | iteration*
- *              n_channels u32 | channel*
+ *              n_channels u32 (=0)
+ *              status u8 | attempts u32 | quarantined u8
  *   iteration := score f64 | workload_energy_j f64
  *              | total_energy_j f64 | warmup_us i64 | cooldown_us i64
  *              | workload_us i64 | temp_at_start_c f64
  *              | peak_temp_c f64 | cooldown_reached u8
- *   channel := name str | n_samples u64 | (when_us i64, value f64)*
+ *
+ * Stores hold untraced results only (ResultCache bypasses itself for
+ * a traced config), so the channel section is an empty count kept for
+ * byte compatibility: encoding a result that carries a trace is fatal,
+ * and a record with channels — or any version but 2 — decodes as a
+ * miss, which compaction then drops.
  *
  * Decoding is total: any truncated, oversized, or structurally wrong
  * input returns false instead of throwing or crashing, so on-disk
@@ -48,12 +54,12 @@ bool decodeExperimentResult(const std::string &bytes,
                             ExperimentResult &out);
 
 /**
- * Live-point records (codec v3) share the log with results but hold
- * opaque simulator state, not an ExperimentResult. The value is
+ * Live-point records share the log with results but hold opaque
+ * simulator state, not an ExperimentResult. The value is
  * self-describing so the store can validate and retain records whose
  * payload semantics it does not know:
  *
- *   livepoint := version u32 (=3)
+ *   livepoint := version u32 (=4)
  *                digest u64 (FNV-1a of every byte after this field)
  *                n_sections u32
  *                section*
@@ -63,19 +69,23 @@ bool decodeExperimentResult(const std::string &bytes,
  * anywhere in the body fails validation even when the transport has
  * no checksum of its own (the record log's CRC is a second,
  * independent layer). Section tags and payload layouts belong to the
- * accubench layer (accubench/live_point.cc); see DESIGN.md §2.8.
+ * accubench layer (accubench/live_point.cc); see DESIGN.md §2.7.
+ * Every version from 3 up marks a live point, but only the current
+ * one validates: an older checkpoint is a silent miss that the next
+ * capture supersedes and compaction drops.
  */
-constexpr std::uint32_t kLivePointVersion = 3;
+constexpr std::uint32_t kLivePointVersion = 4;
 
 /** Framing sanity cap for live-point section counts. */
 constexpr std::uint32_t kMaxLivePointSections = 64;
 
-/** True when @p bytes carries the live-point version tag. */
+/** True when @p bytes carries a live-point version tag (any, >= 3). */
 bool valueIsLivePoint(const std::string &bytes);
 
 /**
- * Structural validation of a live-point value: version tag, section
- * framing, and no trailing bytes. Does not interpret payloads.
+ * Structural validation of a live-point value: current version tag,
+ * digest, section framing, and no trailing bytes. Does not interpret
+ * payloads.
  */
 bool validateLivePointValue(const std::string &bytes);
 

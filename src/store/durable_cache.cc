@@ -15,6 +15,12 @@ DurableCache::getOrCompute(
     const ExperimentConfig &cfg,
     const std::function<ExperimentResult()> &compute)
 {
+    // Traced results are never stored (ExperimentConfig::trace). The
+    // LRU's own bypass would still run the lambda below, so the store
+    // needs this guard too.
+    if (cfg.trace)
+        return compute();
+
     // The LRU fronts the store: its miss path (run outside its lock)
     // consults the log before paying for a simulation, and a fresh
     // compute is written through so the result survives the process.

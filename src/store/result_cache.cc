@@ -104,8 +104,8 @@ writeExperimentConfig(JsonWriter &w, const ExperimentConfig &cfg)
     w.key("soak_first").value(cfg.soakFirst);
     w.key("retry_salt")
         .value(static_cast<long long>(cfg.retrySalt));
-    // Written only when off, so every traced key keeps the bytes it
-    // had before the field existed.
+    // Written only when off: only untraced configs reach a cache
+    // (ResultCache::getOrCompute), and stored keys keep these bytes.
     if (!cfg.trace)
         w.key("trace").value(false);
     // cfg.livePoints / cfg.livePointKey are deliberately absent: a
@@ -191,6 +191,10 @@ ResultCache::getOrCompute(const RegistryEntry &entry,
                           const ExperimentConfig &cfg,
                           const std::function<ExperimentResult()> &compute)
 {
+    // Traced results are never cached (ExperimentConfig::trace).
+    if (cfg.trace)
+        return compute();
+
     std::string key_text = experimentKeyText(entry, unit_index, cfg);
     std::string digest = contentDigest(key_text);
 

@@ -75,10 +75,12 @@ struct ResultCacheStats
  * Thread-safe LRU memoizer for experiment results.
  *
  * Plugs into StudyConfig::cache; the protocol scheduler routes every
- * experiment task through getOrCompute(). Concurrent misses on the
- * same key both simulate (the results are identical by determinism)
- * and the second insert is a no-op overwrite — callers never block on
- * another worker's simulation.
+ * experiment task through getOrCompute(). A traced config bypasses the
+ * cache: getOrCompute() returns compute() and counts no hit or miss
+ * (ExperimentConfig::trace). Concurrent misses on the same key both
+ * simulate (the results are identical by determinism) and the second
+ * insert is a no-op overwrite — callers never block on another
+ * worker's simulation.
  */
 class ResultCache : public ExperimentCache
 {

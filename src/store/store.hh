@@ -96,7 +96,7 @@ class ExperimentStore
     /**
      * @name Raw record access (live-point checkpoints).
      *
-     * Live points persist opaque simulator state (codec v3, see
+     * Live points persist opaque simulator state (version 4, see
      * store/codec.hh) under the same digest-indexed log as results.
      * getBytes shares get()'s read path and safety ladder: absent,
      * key-text mismatch, or a structurally invalid live-point value

@@ -189,10 +189,10 @@ class CountingLivePoints : public MemoryLivePointCache
 TEST(Experiment, UntracedLivePointWarmRerunMatchesTraced)
 {
     CountingLivePoints live;
-    ExperimentResult traced = runQuick(SolverKind::Fast, true, &live);
+    ExperimentResult traced = runQuick(SolverKind::Fast, true);
     ExperimentResult cold = runQuick(SolverKind::Fast, false, &live);
     ExperimentResult warm = runQuick(SolverKind::Fast, false, &live);
-    EXPECT_EQ(live.size(), 2u);
+    EXPECT_EQ(live.size(), 1u);
     EXPECT_EQ(live.hits, 1);
     expectSameIterations(traced, cold);
     expectSameIterations(traced, warm);

@@ -25,6 +25,7 @@
 
 #include "accubench/experiment.hh"
 #include "device/fleet.hh"
+#include "report/json.hh"
 #include "sampling/lower_bound.hh"
 #include "sampling/population.hh"
 #include "sampling/sampler.hh"
@@ -326,29 +327,11 @@ class TestLivePointCache : public LivePointCache
 };
 
 /**
- * The record a cold run captures, pinned by size and digest: stores
- * written by earlier builds must keep warm-restoring, so neither the
- * capture point nor the record's fields and section order may drift.
+ * The record a cold run of the sampler's (untraced) die captures,
+ * pinned by size and digest: stores written by earlier builds of this
+ * format must keep warm-restoring, so neither the capture point nor
+ * the record's fields and section order may drift.
  */
-TEST(LivePoints, ColdCaptureRecordBytesArePinned)
-{
-    CrowdStudyConfig cfg = quickStudy(64, 3, 4, 2);
-    TestLivePointCache cache;
-    cfg.livePoints = &cache;
-    CrowdDie die = crowdDie(cfg.population, 17);
-    auto device = makeUnitForSoc(cfg.population.socName, die.corner);
-    ExperimentConfig exp = crowdDieExperiment(cfg, die);
-    exp.trace = true;
-    runExperiment(*device, exp);
-
-    ASSERT_EQ(cache.map.size(), 1u);
-    const std::string &value = cache.map.begin()->second;
-    EXPECT_EQ(value.size(), 25626u);
-    EXPECT_EQ(fnv1a64(value.data(), value.size()),
-              0x4ed4c9f4f5de664dull);
-}
-
-/** The sampler's own (untraced) record: an empty trace section. */
 TEST(LivePoints, ColdCaptureUntracedRecordBytesArePinned)
 {
     CrowdStudyConfig cfg = quickStudy(64, 3, 4, 2);
@@ -360,9 +343,32 @@ TEST(LivePoints, ColdCaptureUntracedRecordBytesArePinned)
 
     ASSERT_EQ(cache.map.size(), 1u);
     const std::string &value = cache.map.begin()->second;
-    EXPECT_EQ(value.size(), 792u);
+    EXPECT_EQ(value.size(), 780u);
     EXPECT_EQ(fnv1a64(value.data(), value.size()),
-              0x839bac0171068759ull);
+              0x6dc27d3403388599ull);
+}
+
+TEST(LivePoints, TracedRunNeitherFetchesNorStores)
+{
+    CrowdStudyConfig cfg = quickStudy(64, 3, 4, 2);
+    TestLivePointCache cache;
+    cfg.livePoints = &cache;
+    CrowdDie die = crowdDie(cfg.population, 17);
+    ExperimentConfig exp = crowdDieExperiment(cfg, die);
+
+    // Capture an untraced checkpoint under the die's key first, so a
+    // traced run that consulted the cache would find one.
+    auto untraced = makeUnitForSoc(cfg.population.socName, die.corner);
+    ExperimentResult plain = runExperiment(*untraced, exp);
+    ASSERT_EQ(cache.stores, 1u);
+
+    exp.trace = true;
+    auto device = makeUnitForSoc(cfg.population.socName, die.corner);
+    ExperimentResult traced = runExperiment(*device, exp);
+    EXPECT_EQ(cache.fetches, 1u); // the untraced run's miss only
+    EXPECT_EQ(cache.stores, 1u);
+    EXPECT_FALSE(traced.trace.channelNames().empty());
+    EXPECT_EQ(toJson(traced), toJson(plain));
 }
 
 TEST(LivePoints, WarmRerunIsByteIdenticalAndActuallyRestores)
@@ -396,8 +402,8 @@ TEST(LivePoints, CorruptCheckpointsDegradeToColdStart)
     ASSERT_EQ(cache.map.size(), 12u);
 
     // Sweep the corruption offset across reruns so every region of
-    // the record format — version word, section framing, meta, box,
-    // device, trace payloads — gets hit in some pass.
+    // the record format — version word, section framing, meta, box
+    // and device payloads — gets hit in some pass.
     for (int pass = 0; pass < 4; ++pass) {
         for (auto &[key, value] : cache.map) {
             ASSERT_FALSE(value.empty());

@@ -128,6 +128,7 @@ TEST(ResultCacheTest, HitsReturnTheStoredResult)
 {
     const RegistryEntry &entry = DeviceRegistry::builtin().at("SD-805");
     ExperimentConfig cfg;
+    cfg.trace = false; // only untraced configs are cached
     ResultCache cache(8);
 
     int computes = 0;
@@ -158,6 +159,7 @@ TEST(ResultCacheTest, LruBoundsTheFootprint)
 {
     const RegistryEntry &entry = DeviceRegistry::builtin().at("SD-800");
     ExperimentConfig cfg;
+    cfg.trace = false; // only untraced configs are cached
     ResultCache cache(2);
     auto compute = []() { return ExperimentResult{}; };
 

@@ -93,9 +93,9 @@ writeFileBytes(const std::string &path, const std::string &bytes)
 }
 
 /**
- * A small synthetic result exercising the codec's awkward corners:
- * denormals, negative zero, values with no short decimal rendering,
- * multi-channel traces.
+ * A small synthetic (untraced) result exercising the codec's awkward
+ * corners: denormals, negative zero, values with no short decimal
+ * rendering.
  */
 ExperimentResult
 makeResult(int seed)
@@ -117,16 +117,68 @@ makeResult(int seed)
         it.cooldownReachedTarget = (seed + i) % 2 == 0;
         r.iterations.push_back(it);
     }
-    for (int s = 0; s < 3 + seed; ++s) {
-        r.trace.record("temp_c", Time::msec(10 * s), 26.0 + s * 0.125);
-        r.trace.record("power_w", Time::msec(10 * s),
-                       1.0 / (s + 1.0));
-    }
     return r;
 }
 
 /**
- * A structurally valid live-point value (codec v3 framing and digest)
+ * @p r as a store held it while results carried traces: the version 2
+ * layout with one two-sample channel where the empty count now sits.
+ */
+std::string
+tracedResultRecord(const ExperimentResult &r)
+{
+    std::string bytes = encodeExperimentResult(r);
+    ByteWriter channels;
+    channels.u32(1); // n_channels
+    channels.str("temp_c");
+    channels.u64(2); // n_samples
+    channels.i64(0);
+    channels.f64(26.0);
+    channels.i64(10000);
+    channels.f64(26.125);
+    // The channel count is the u32 just before the 6-byte
+    // supervision tail (status u8, attempts u32, quarantined u8).
+    std::size_t at = bytes.size() - 6 - 4;
+    return bytes.substr(0, at) + channels.take() + bytes.substr(at + 4);
+}
+
+/** @p r in codec version 1: the v2 layout minus the supervision tail. */
+std::string
+versionOneRecord(const ExperimentResult &r)
+{
+    std::string bytes = encodeExperimentResult(r);
+    bytes.resize(bytes.size() - 6);
+    bytes[0] = 1;
+    return bytes;
+}
+
+/**
+ * A live point in the version 3 framing: valid digest, four sections
+ * (meta, box and device as opaque payloads, then the trace section an
+ * untraced run wrote as an empty channel count).
+ */
+std::string
+versionThreeLivePoint(int seed)
+{
+    ByteWriter body;
+    body.u32(4); // n_sections
+    for (std::uint32_t tag = 1; tag <= 3; ++tag) {
+        body.u32(tag);
+        body.str(std::string(8 + seed, static_cast<char>('a' + tag)));
+    }
+    ByteWriter trace;
+    trace.u32(0);
+    body.u32(4);
+    body.str(trace.take());
+    std::string sections = body.take();
+    ByteWriter w;
+    w.u32(3);
+    w.u64(fnv1a64(sections.data(), sections.size()));
+    return w.take() + sections;
+}
+
+/**
+ * A structurally valid live-point value (current framing and digest)
  * with one opaque section whose payload depends on @p seed.
  */
 std::string
@@ -226,15 +278,7 @@ TEST(StoreCodec, RoundTripsBitExactly)
             EXPECT_EQ(a.cooldownReachedTarget,
                       b.cooldownReachedTarget);
         }
-        ASSERT_EQ(decoded.trace.channelNames(),
-                  original.trace.channelNames());
-        const auto &a = original.trace.channel("temp_c").samples();
-        const auto &b = decoded.trace.channel("temp_c").samples();
-        ASSERT_EQ(a.size(), b.size());
-        for (std::size_t s = 0; s < a.size(); ++s) {
-            EXPECT_EQ(a[s].when, b[s].when);
-            EXPECT_EQ(a[s].value, b[s].value);
-        }
+        EXPECT_TRUE(decoded.trace.channelNames().empty());
     }
 }
 
@@ -258,9 +302,31 @@ TEST(StoreCodec, DecodingIsTotal)
     EXPECT_FALSE(decodeExperimentResult("not a record", scratch));
     // A fabricated huge count must not drive a huge allocation.
     std::string huge(8, '\xff');
-    huge[0] = 1;
+    huge[0] = 2;
     huge[1] = huge[2] = huge[3] = 0;
     EXPECT_FALSE(decodeExperimentResult(huge, scratch));
+
+    // Records this codec no longer reads: any nonzero channel count
+    // (a traced result, with or without its channel bytes), version 1,
+    // and a live point of either version.
+    std::string one_channel = bytes;
+    one_channel[bytes.size() - 6 - 4] = 1;
+    EXPECT_FALSE(decodeExperimentResult(one_channel, scratch));
+    EXPECT_FALSE(
+        decodeExperimentResult(tracedResultRecord(makeResult(1)), scratch));
+    EXPECT_FALSE(
+        decodeExperimentResult(versionOneRecord(makeResult(1)), scratch));
+    std::string v3 = versionThreeLivePoint(0);
+    EXPECT_FALSE(decodeExperimentResult(v3, scratch));
+    EXPECT_FALSE(decodeExperimentResult(makeLivePoint(0), scratch));
+
+    // A v3 live point is still recognised as one, but only the current
+    // version validates: the same framing under the current tag passes.
+    EXPECT_TRUE(valueIsLivePoint(v3));
+    EXPECT_FALSE(validateLivePointValue(v3));
+    std::string retagged = v3;
+    retagged[0] = static_cast<char>(kLivePointVersion);
+    EXPECT_TRUE(validateLivePointValue(retagged));
 }
 
 // ---------------------------------------------------------------------
@@ -534,6 +600,83 @@ TEST(ExperimentStore, CompactionDropsSupersededAndOrphaned)
     ExperimentStore reopened(dir);
     EXPECT_EQ(reopened.stats().records, 2u);
     EXPECT_EQ(reopened.stats().truncatedBytes, 0u);
+}
+
+TEST(ExperimentStore, CompactionDropsStaleRecords)
+{
+    QuietLog quiet;
+    const std::string traced = "{\"stale\": \"traced\"}";
+    const std::string v1 = "{\"stale\": \"v1\"}";
+    const std::string old_live = "{\"stale\": \"live_point\"}";
+    const std::string result = "{\"current\": \"result\"}";
+    const std::string live = "{\"current\": \"live_point\"}";
+    // A log an earlier build could have left: three records no build
+    // reads now, and one current record of each kind.
+    auto write_log = [&](const std::string &dir) {
+        RecordLog log(dir + "/experiments.log", 1);
+        log.append(traced, tracedResultRecord(makeResult(0)));
+        log.append(v1, versionOneRecord(makeResult(1)));
+        log.append(old_live, versionThreeLivePoint(2));
+        log.append(result, encodeExperimentResult(makeResult(3)));
+        log.append(live, makeLivePoint(4));
+    };
+
+    // Reads miss the stale records and still serve the current ones.
+    {
+        std::string dir = freshDir("stale_reads");
+        write_log(dir);
+        ExperimentStore store(dir);
+        EXPECT_EQ(store.stats().records, 5u);
+        ExperimentResult out;
+        std::string bytes;
+        EXPECT_FALSE(store.get(traced, out));
+        EXPECT_FALSE(store.get(v1, out));
+        EXPECT_FALSE(store.getBytes(old_live, bytes));
+        ASSERT_TRUE(store.get(result, out));
+        EXPECT_EQ(encodeExperimentResult(out),
+                  encodeExperimentResult(makeResult(3)));
+        ASSERT_TRUE(store.getBytes(live, bytes));
+        EXPECT_EQ(bytes, makeLivePoint(4));
+        EXPECT_EQ(store.stats().misses, 3u);
+    }
+
+    // Compaction on a fresh open (nothing read yet) drops exactly the
+    // stale three, and the survivors then verify clean.
+    std::string dir = freshDir("stale_compact");
+    write_log(dir);
+    ExperimentStore store(dir);
+    std::uint64_t bad = 0, live_points = 0;
+    std::vector<std::string> results;
+    auto scan = [&] {
+        bad = live_points = 0;
+        results.clear();
+        store.forEach(
+            [&](const std::string &key, const ExperimentResult &) {
+                results.push_back(key);
+            },
+            &bad, &live_points);
+    };
+    scan();
+    EXPECT_EQ(bad, 3u);
+    EXPECT_EQ(live_points, 1u);
+    EXPECT_EQ(results, std::vector<std::string>{result});
+
+    EXPECT_EQ(store.compact(), 3u);
+    ExperimentStoreStats after = store.stats();
+    EXPECT_EQ(after.records, 2u);
+    EXPECT_EQ(after.logRecords, 2u);
+    EXPECT_EQ(after.livePointRecords, 1u);
+    scan();
+    EXPECT_EQ(bad, 0u);
+    EXPECT_EQ(live_points, 1u);
+    EXPECT_EQ(results, std::vector<std::string>{result});
+    ExperimentResult out;
+    ASSERT_TRUE(store.get(result, out));
+    EXPECT_EQ(encodeExperimentResult(out),
+              encodeExperimentResult(makeResult(3)));
+    std::string bytes;
+    ASSERT_TRUE(store.getBytes(live, bytes));
+    EXPECT_EQ(bytes, makeLivePoint(4));
 }
 
 TEST(ExperimentStore, EnospcDuringCompactionAbortsAndKeepsOriginal)
@@ -818,6 +961,7 @@ TEST(DurableCache, WarmRestartSkipsRecomputation)
     std::string dir = freshDir("warm");
     const RegistryEntry &entry = DeviceRegistry::builtin().at("SD-805");
     ExperimentConfig cfg;
+    cfg.trace = false; // only untraced configs are cached
 
     int computes = 0;
     auto compute = [&]() {
@@ -904,70 +1048,58 @@ TEST(DurableCache, ResumedStudyIsByteIdenticalAndSkipsDoneWork)
     EXPECT_EQ(third.storeStats().misses, 0u);
 }
 
-/**
- * Forwards every lookup with the trace switched on, computing misses
- * the way the study scheduler does: the traced twin of a study, for
- * size comparisons.
- */
-class TracedStudyCache : public ExperimentCache
-{
-  public:
-    explicit TracedStudyCache(ExperimentCache &inner) : _inner(inner) {}
-
-    ExperimentResult
-    getOrCompute(const RegistryEntry &entry, std::size_t unit_index,
-                 const ExperimentConfig &cfg,
-                 const std::function<ExperimentResult()> &) override
-    {
-        ExperimentConfig traced = cfg;
-        traced.trace = true;
-        return _inner.getOrCompute(entry, unit_index, traced, [&]() {
-            auto device = buildDevice(entry.spec,
-                                      entry.units.at(unit_index),
-                                      traced.retrySalt);
-            return runExperiment(*device, traced);
-        });
-    }
-
-    void flushPending() override { _inner.flushPending(); }
-
-  private:
-    ExperimentCache &_inner;
-};
-
-TEST(DurableCache, UntracedStudyStoreIsTenfoldSmaller)
+TEST(DurableCache, TracedConfigBypassesTheStore)
 {
     QuietLog quiet;
-    StudyConfig cfg;
-    cfg.iterations = 1;
-    cfg.solver = SolverKind::Fast;
+    std::string dir = freshDir("traced_bypass");
+    const RegistryEntry &entry = DeviceRegistry::builtin().at("SD-805");
+    DurableCache cache(dir);
+    int computes = 0;
 
-    std::string plain_dir = freshDir("untraced");
-    std::string traced_dir = freshDir("traced");
-    std::string plain_json, traced_json;
-    {
-        DurableCache cache(plain_dir);
-        StudyConfig c = cfg;
-        c.cache = &cache;
-        plain_json = toJson(runSocStudy("SD-805", c));
-        EXPECT_EQ(cache.storeStats().appends, 6u); // 3 units x 2 modes
-    }
-    {
-        DurableCache cache(traced_dir);
-        TracedStudyCache traced(cache);
-        StudyConfig c = cfg;
-        c.cache = &traced;
-        traced_json = toJson(runSocStudy("SD-805", c));
-        EXPECT_EQ(cache.storeStats().appends, 6u);
-    }
-    // Tracing only observes: the study bytes do not depend on it.
-    EXPECT_EQ(plain_json, traced_json);
+    // Every unit in both modes, the way a fast one-iteration study
+    // schedules them, rendered as one JSON text per result.
+    auto run_all = [&](bool trace) {
+        std::string json;
+        for (std::size_t unit = 0; unit < entry.units.size(); ++unit) {
+            for (WorkloadMode mode : {WorkloadMode::Unconstrained,
+                                      WorkloadMode::FixedFrequency}) {
+                ExperimentConfig cfg;
+                cfg.mode = mode;
+                cfg.fixedFrequency = entry.fixedFrequency;
+                cfg.iterations = 1;
+                cfg.solver = SolverKind::Fast;
+                cfg.supply = SupplyChoice::MonsoonExplicit;
+                cfg.monsoonVoltage = entry.monsoonVoltage;
+                cfg.trace = trace;
+                ExperimentResult r =
+                    cache.getOrCompute(entry, unit, cfg, [&]() {
+                        ++computes;
+                        auto device = buildDevice(
+                            entry.spec, entry.units.at(unit),
+                            cfg.retrySalt);
+                        return runExperiment(*device, cfg);
+                    });
+                EXPECT_EQ(r.trace.channelNames().empty(), !trace);
+                json += toJson(r);
+            }
+        }
+        return json;
+    };
 
-    std::size_t plain = readFile(plain_dir + "/experiments.log").size();
-    std::size_t traced = readFile(traced_dir + "/experiments.log").size();
-    EXPECT_GT(plain, 0u);
-    EXPECT_GE(traced, 10 * plain)
-        << "untraced " << plain << " B, traced " << traced << " B";
+    // Traced: computed every time, never counted, never stored.
+    std::string traced = run_all(true);
+    EXPECT_EQ(run_all(true), traced);
+    EXPECT_EQ(computes, 12);
+    EXPECT_EQ(cache.storeStats().appends, 0u);
+    EXPECT_EQ(cache.storeStats().hits + cache.storeStats().misses, 0u);
+    EXPECT_EQ(cache.lruStats().hits + cache.lruStats().misses, 0u);
+
+    // Untraced: stored once, served from memory after, same bytes.
+    EXPECT_EQ(run_all(false), traced);
+    EXPECT_EQ(run_all(false), traced);
+    EXPECT_EQ(computes, 18);
+    EXPECT_EQ(cache.storeStats().appends, 6u); // 3 units x 2 modes
+    EXPECT_EQ(cache.lruStats().hits, 6u);
 }
 
 // ---------------------------------------------------------------------
@@ -997,36 +1129,6 @@ TEST(StoreCodec, SupervisionOutcomeRoundTrips)
     std::string bad_flag = bytes;
     bad_flag[bytes.size() - 1] = 2; // quarantined neither 0 nor 1
     EXPECT_FALSE(decodeExperimentResult(bad_flag, scratch));
-}
-
-TEST(StoreCodec, DecodesVersionOneRecordsWithDefaults)
-{
-    // A v1 record is the v2 encoding minus the 6-byte supervision
-    // tail, with the leading version u32 set to 1. Old logs keep
-    // decoding; the new fields take their healthy defaults.
-    ExperimentResult original = makeResult(1);
-    std::string v2 = encodeExperimentResult(original);
-    std::string v1 = v2.substr(0, v2.size() - 6);
-    v1[0] = 1;
-
-    ExperimentResult decoded;
-    decoded.status = ExperimentStatus::PermanentFault; // must be reset
-    decoded.attempts = 99;
-    decoded.quarantined = true;
-    ASSERT_TRUE(decodeExperimentResult(v1, decoded));
-    EXPECT_EQ(decoded.status, ExperimentStatus::Ok);
-    EXPECT_EQ(decoded.attempts, 1u);
-    EXPECT_FALSE(decoded.quarantined);
-    EXPECT_EQ(decoded.unitId, original.unitId);
-
-    // A v1 record with the v2 tail still attached has trailing bytes
-    // and must be rejected, as must a v2 record cut at the v1 length.
-    std::string v1_long = v2;
-    v1_long[0] = 1;
-    ExperimentResult scratch;
-    EXPECT_FALSE(decodeExperimentResult(v1_long, scratch));
-    std::string v2_short = v2.substr(0, v2.size() - 6);
-    EXPECT_FALSE(decodeExperimentResult(v2_short, scratch));
 }
 
 // ---------------------------------------------------------------------
@@ -1128,6 +1230,7 @@ TEST(DurableCache, DegradedStoreStillServesFromMemory)
     std::string dir = freshDir("degrade_cache");
     const RegistryEntry &entry = DeviceRegistry::builtin().at("SD-805");
     ExperimentConfig cfg;
+    cfg.trace = false; // only untraced configs are cached
 
     DurableCache cache(dir);
     StorePlanGuard guard{storeFaultPlan(FaultSite::StoreAppend)};
